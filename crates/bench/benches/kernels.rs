@@ -6,10 +6,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 
 use tempora_baseline::{dlt, multiload, reorg};
+use tempora_core::engine::Engine;
 use tempora_core::kernels::*;
 use tempora_core::{lcs, t1d, t2d, t3d};
-#[cfg(target_arch = "x86_64")]
-use tempora_core::{lcs_avx2, t2d_avx2};
 use tempora_grid::*;
 use tempora_stencil::*;
 
@@ -109,10 +108,16 @@ fn life_schemes(crit: &mut Criterion) {
     group.bench_function("temporal_vl8", |b| {
         b.iter(|| std::hint::black_box(t2d::run::<i32, 8, _>(&g, &kern, steps, 2)))
     });
-    #[cfg(target_arch = "x86_64")]
     if tempora_simd::arch::avx2_available() {
         group.bench_function("temporal_vl8_avx2", |b| {
-            b.iter(|| std::hint::black_box(t2d_avx2::run_life2d_avx2(&g, &kern, steps, 2)))
+            b.iter(|| {
+                let mut out = g.clone();
+                let mut sc = t2d::Scratch2d::<i32, 8>::new(2, out.ny());
+                for _ in 0..steps / 8 {
+                    t2d::tile(Engine::Avx2, &mut out, &kern, 2, &mut sc);
+                }
+                std::hint::black_box(out)
+            })
         });
     }
     group.bench_function("multiload", |b| {
@@ -145,6 +150,16 @@ fn gs_schemes(crit: &mut Criterion) {
     group.finish();
 }
 
+/// LCS length with the AVX2 steady state (`a.len()` a multiple of 8).
+fn lcs_avx2_len(a: &[u8], b: &[u8], s: usize) -> i32 {
+    let mut row = vec![0i32; b.len() + 1];
+    let mut sc = lcs::ScratchLcs::<8>::new(s);
+    for a_tile in a.chunks_exact(8) {
+        lcs::tile(Engine::Avx2, &mut row, a_tile, b, s, &mut sc);
+    }
+    row[b.len()]
+}
+
 fn lcs_schemes(crit: &mut Criterion) {
     let n = 2048;
     let a = random_sequence(n, 4, 1);
@@ -157,13 +172,12 @@ fn lcs_schemes(crit: &mut Criterion) {
     group.bench_function("temporal_i32x8", |b| {
         b.iter(|| std::hint::black_box(lcs::length(&a, &b_seq, 1)))
     });
-    #[cfg(target_arch = "x86_64")]
     if tempora_simd::arch::avx2_available() {
         group.bench_function("temporal_i32x8_avx2", |b| {
-            b.iter(|| std::hint::black_box(lcs_avx2::length_avx2(&a, &b_seq, 1)))
+            b.iter(|| std::hint::black_box(lcs_avx2_len(&a, &b_seq, 1)))
         });
         group.bench_function("temporal_i32x8_avx2_s2", |b| {
-            b.iter(|| std::hint::black_box(lcs_avx2::length_avx2(&a, &b_seq, 2)))
+            b.iter(|| std::hint::black_box(lcs_avx2_len(&a, &b_seq, 2)))
         });
     }
     group.bench_function("scalar", |b| {

@@ -278,14 +278,6 @@ fn json_num(x: f64) -> String {
     }
 }
 
-/// Time a closure once, in seconds — a single **cold** measurement.
-/// Prefer [`time_stable`] for anything that lands in reported figures.
-pub fn time_once<F: FnOnce()>(f: F) -> f64 {
-    let t = Instant::now();
-    f();
-    t.elapsed().as_secs_f64()
-}
-
 /// One untimed warm-up call (faults in pages, warms caches and branch
 /// predictors, spins up worker pools) followed by `reps` timed calls;
 /// returns the **median** of the timed calls. The median is robust to the

@@ -1,26 +1,30 @@
 //! Unified engine dispatch: one place that decides, per workload, whether
-//! the portable pack steady state or the hand-scheduled `std::arch` AVX2
-//! steady state runs.
+//! a steady state runs on the portable packs or on the AVX2 registers.
+//!
+//! Every temporal steady state in this crate is written **once**, as a
+//! [`LaneFn`] over the lane vocabulary of [`tempora_simd::Lanes`], and
+//! instantiated twice by [`Engine::run`]: on `Pack<T, N>` (portable, any
+//! lane count) and on the AVX2+FMA register twin of `f64×4` / `i32×8`
+//! ([`tempora_simd::arch::run_avx2`], the single `#[target_feature]`
+//! boundary). Prologues and epilogues are shared outright, so the two
+//! engines differ only in the instructions of the steady state.
 //!
 //! The preferred entry point is the `tempora_plan` crate's
 //! `Problem → PlanBuilder → Plan → Report` lifecycle, which resolves the
-//! selection once per plan and reuses scratch across runs; the one-shot
-//! `run_*` wrappers here are kept as `#[deprecated]` shims for one
-//! release. Every entry point returns the result **and** the [`Engine`]
-//! that actually executed, so callers (the bench harness in particular)
-//! can report honestly which instruction mix was measured. The selection
-//! policy is a three-valued [`Select`]:
+//! selection once per plan, reuses scratch across runs, and reports the
+//! [`Engine`] that actually executed. The selection policy is a
+//! three-valued [`Select`]:
 //!
 //! * [`Select::Auto`] (the default) — AVX2+FMA steady state whenever the
 //!   CPU supports it and the workload has one, portable otherwise;
 //! * [`Select::Portable`] — always the portable pack engine;
 //! * [`Select::Avx2`] — require the AVX2 path (panics if the CPU lacks
-//!   AVX2+FMA; workloads with no hand-scheduled variant still resolve to
+//!   AVX2+FMA; workloads with no AVX2 instantiation still resolve to
 //!   portable, reported as such).
 //!
-//! Every workload now has a hand-scheduled steady state: the f64 kernels
-//! run at `vl = 4` double lanes, and the two integer workloads — Life
-//! and LCS — at the paper's `vl = 8` i32 lanes. Degenerate shapes that
+//! The f64 kernels have an AVX2 instantiation at `vl = 4` double lanes,
+//! and the two integer workloads — Life and LCS — at the paper's `vl = 8`
+//! i32 lanes; other lane counts run portable. Degenerate shapes that
 //! cannot exercise a vector steady state at all — fewer than one full
 //! `vl`-level time tile, or an outer extent below `vl·s` (for LCS, a row
 //! segment below `vl·s + 1`) — resolve portable, because every engine
@@ -35,11 +39,8 @@
 //! All engines are bit-identical to the scalar oracles, so dispatch never
 //! changes results — only speed.
 
-use crate::kernels::{
-    BoxKern2d, GsKern1d, GsKern2d, GsKern3d, JacobiKern1d, JacobiKern2d, JacobiKern3d, LifeKern2d,
-};
-use crate::{lcs, t1d, t2d, t3d};
-use tempora_grid::{Grid1, Grid2, Grid3};
+use tempora_simd::arch;
+use tempora_simd::{LaneFn, Pack, Scalar};
 
 /// Environment variable consulted by [`Select::from_env`].
 pub const ENV_VAR: &str = "TEMPORA_ENGINE";
@@ -93,7 +94,7 @@ impl Select {
     }
 
     /// Resolve the policy against CPU capability and whether the workload
-    /// has a hand-scheduled AVX2 steady state. Public so the tiled layer
+    /// has an AVX2 steady state. Public so the tiled layer
     /// (`tempora-tiling`) can resolve its in-tile engine **once per run**
     /// and report it honestly; degenerate geometries must pass
     /// `has_avx2_impl = false`.
@@ -101,7 +102,7 @@ impl Select {
         match self {
             Select::Portable => Engine::Portable,
             Select::Auto => {
-                if has_avx2_impl && tempora_simd::arch::avx2_available() {
+                if has_avx2_impl && arch::avx2_available() {
                     Engine::Avx2
                 } else {
                     Engine::Portable
@@ -109,7 +110,7 @@ impl Select {
             }
             Select::Avx2 => {
                 assert!(
-                    tempora_simd::arch::avx2_available(),
+                    arch::avx2_available(),
                     "{ENV_VAR}=avx2 requested but this CPU lacks AVX2+FMA"
                 );
                 if has_avx2_impl {
@@ -120,14 +121,27 @@ impl Select {
             }
         }
     }
+
+    /// Resolve the policy for an untiled temporal run of `steps` steps at
+    /// `VL` lanes of `T` over an outer extent `n_outer` with stride `s`:
+    /// AVX2 needs a register twin of `Pack<T, VL>` on this CPU and a shape
+    /// with vector tiles ([`shape_has_vector_tiles`]).
+    pub fn resolve_shape<T: Scalar, const VL: usize>(
+        self,
+        n_outer: usize,
+        steps: usize,
+        s: usize,
+    ) -> Engine {
+        self.resolve(arch::avx2_lanes::<T, VL>() && shape_has_vector_tiles(VL, n_outer, steps, s))
+    }
 }
 
 /// The concrete steady state a dispatch decision resolved to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Engine {
-    /// The portable `Pack` engine (LLVM auto-selection).
+    /// The steady state instantiated on the portable `Pack` lanes.
     Portable,
-    /// The hand-scheduled `std::arch` AVX2+FMA engine.
+    /// The same steady state instantiated on the AVX2+FMA registers.
     Avx2,
 }
 
@@ -137,6 +151,28 @@ impl Engine {
         match self {
             Engine::Portable => "portable",
             Engine::Avx2 => "avx2",
+        }
+    }
+
+    /// Run a steady state written over the lane vocabulary on this
+    /// engine: `f.call::<Pack<T, N>>()` for [`Engine::Portable`], the
+    /// AVX2 register twin for [`Engine::Avx2`].
+    ///
+    /// # Panics
+    /// Panics on [`Engine::Avx2`] unless
+    /// [`arch::avx2_lanes::<T, N>()`](arch::avx2_lanes) holds, which
+    /// every resolution through [`Select::resolve_shape`] guarantees.
+    pub fn run<T: Scalar, const N: usize, F: LaneFn<T, N>>(self, f: F) -> F::Output {
+        match self {
+            Engine::Portable => f.call::<Pack<T, N>>(),
+            Engine::Avx2 => {
+                assert!(
+                    arch::avx2_lanes::<T, N>(),
+                    "AVX2 engine needs AVX2+FMA and an f64x4 or i32x8 steady state"
+                );
+                // SAFETY: `avx2_lanes::<T, N>()` was checked just above.
+                unsafe { arch::run_avx2(f) }
+            }
         }
     }
 }
@@ -152,590 +188,34 @@ pub fn shape_has_vector_tiles(vl: usize, n_outer: usize, steps: usize, s: usize)
     steps >= vl && n_outer >= vl * s
 }
 
-/// Run Heat-1D (1D3P Jacobi) under `sel`; returns the final grid and the
-/// engine that executed. The AVX2 ring is register-resident and capped at
-/// stride [`crate::t1d_avx2::MAX_STRIDE`]; wider strides resolve portable.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `tempora_plan::Plan` instead; this one-shot wrapper allocates scratch per call"
-)]
-pub fn run_heat1d(
-    sel: Select,
-    grid: &Grid1<f64>,
-    kern: &JacobiKern1d,
-    steps: usize,
-    s: usize,
-) -> (Grid1<f64>, Engine) {
-    run_heat1d_impl(sel, grid, kern, steps, s)
-}
-
-/// Shared Heat-1D dispatch body, so the deprecated shim and the
-/// non-deprecated crate-root convenience (`temporal1d_jacobi`) cannot
-/// drift apart.
-pub(crate) fn run_heat1d_impl(
-    sel: Select,
-    grid: &Grid1<f64>,
-    kern: &JacobiKern1d,
-    steps: usize,
-    s: usize,
-) -> (Grid1<f64>, Engine) {
-    let has_impl = JacobiKern1d::avx2_tile(s) && shape_has_vector_tiles(4, grid.n(), steps, s);
-    match sel.resolve(has_impl) {
-        #[cfg(target_arch = "x86_64")]
-        Engine::Avx2 => (
-            crate::t1d_avx2::run_heat1d_avx2(grid, kern, steps, s),
-            Engine::Avx2,
-        ),
-        #[cfg(not(target_arch = "x86_64"))]
-        Engine::Avx2 => unreachable!("AVX2 resolved on a non-x86-64 target"),
-        Engine::Portable => (t1d::run::<4, _>(grid, kern, steps, s), Engine::Portable),
-    }
-}
-
-/// Run GS-1D (1D3P Gauss-Seidel) under `sel`; returns the final grid and
-/// the engine that executed.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `tempora_plan::Plan` instead; this one-shot wrapper allocates scratch per call"
-)]
-pub fn run_gs1d(
-    sel: Select,
-    grid: &Grid1<f64>,
-    kern: &GsKern1d,
-    steps: usize,
-    s: usize,
-) -> (Grid1<f64>, Engine) {
-    run_gs1d_impl(sel, grid, kern, steps, s)
-}
-
-/// Shared GS-1D dispatch body (see [`run_heat1d_impl`]).
-pub(crate) fn run_gs1d_impl(
-    sel: Select,
-    grid: &Grid1<f64>,
-    kern: &GsKern1d,
-    steps: usize,
-    s: usize,
-) -> (Grid1<f64>, Engine) {
-    let has_impl = GsKern1d::avx2_tile(s) && shape_has_vector_tiles(4, grid.n(), steps, s);
-    match sel.resolve(has_impl) {
-        #[cfg(target_arch = "x86_64")]
-        Engine::Avx2 => (
-            crate::t1d_avx2::run_gs1d_avx2(grid, kern, steps, s),
-            Engine::Avx2,
-        ),
-        #[cfg(not(target_arch = "x86_64"))]
-        Engine::Avx2 => unreachable!("AVX2 resolved on a non-x86-64 target"),
-        Engine::Portable => (t1d::run::<4, _>(grid, kern, steps, s), Engine::Portable),
-    }
-}
-
-/// Run Heat-2D (2D5P Jacobi) under `sel`; returns the final grid and the
-/// engine that executed.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `tempora_plan::Plan` instead; this one-shot wrapper allocates scratch per call"
-)]
-pub fn run_heat2d(
-    sel: Select,
-    grid: &Grid2<f64>,
-    kern: &JacobiKern2d,
-    steps: usize,
-    s: usize,
-) -> (Grid2<f64>, Engine) {
-    match sel.resolve(shape_has_vector_tiles(4, grid.nx(), steps, s)) {
-        #[cfg(target_arch = "x86_64")]
-        Engine::Avx2 => (
-            crate::t2d_avx2::run_heat2d_avx2(grid, kern, steps, s),
-            Engine::Avx2,
-        ),
-        #[cfg(not(target_arch = "x86_64"))]
-        Engine::Avx2 => unreachable!("AVX2 resolved on a non-x86-64 target"),
-        Engine::Portable => (
-            t2d::run::<f64, 4, _>(grid, kern, steps, s),
-            Engine::Portable,
-        ),
-    }
-}
-
-/// Run 2D9P (box Jacobi) under `sel`; returns the final grid and the
-/// engine that executed.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `tempora_plan::Plan` instead; this one-shot wrapper allocates scratch per call"
-)]
-pub fn run_box2d(
-    sel: Select,
-    grid: &Grid2<f64>,
-    kern: &BoxKern2d,
-    steps: usize,
-    s: usize,
-) -> (Grid2<f64>, Engine) {
-    match sel.resolve(shape_has_vector_tiles(4, grid.nx(), steps, s)) {
-        #[cfg(target_arch = "x86_64")]
-        Engine::Avx2 => (
-            crate::t2d_avx2::run_box2d_avx2(grid, kern, steps, s),
-            Engine::Avx2,
-        ),
-        #[cfg(not(target_arch = "x86_64"))]
-        Engine::Avx2 => unreachable!("AVX2 resolved on a non-x86-64 target"),
-        Engine::Portable => (
-            t2d::run::<f64, 4, _>(grid, kern, steps, s),
-            Engine::Portable,
-        ),
-    }
-}
-
-/// Run GS-2D (2D5P Gauss-Seidel) under `sel`; returns the final grid and
-/// the engine that executed.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `tempora_plan::Plan` instead; this one-shot wrapper allocates scratch per call"
-)]
-pub fn run_gs2d(
-    sel: Select,
-    grid: &Grid2<f64>,
-    kern: &GsKern2d,
-    steps: usize,
-    s: usize,
-) -> (Grid2<f64>, Engine) {
-    match sel.resolve(shape_has_vector_tiles(4, grid.nx(), steps, s)) {
-        #[cfg(target_arch = "x86_64")]
-        Engine::Avx2 => (
-            crate::t2d_avx2::run_gs2d_avx2(grid, kern, steps, s),
-            Engine::Avx2,
-        ),
-        #[cfg(not(target_arch = "x86_64"))]
-        Engine::Avx2 => unreachable!("AVX2 resolved on a non-x86-64 target"),
-        Engine::Portable => (
-            t2d::run::<f64, 4, _>(grid, kern, steps, s),
-            Engine::Portable,
-        ),
-    }
-}
-
-/// Run Game-of-Life (integer 2D9P, 8 lanes) under `sel`; returns the
-/// final grid and the engine that executed. The AVX2 integer steady
-/// state runs at `vl = 8` i32 lanes, so the degenerate bounds are
-/// `steps ≥ 8` whole tiles and `nx ≥ 8·s`; smaller shapes resolve
-/// portable because every engine runs the identical scalar schedule
-/// there.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `tempora_plan::Plan` instead; this one-shot wrapper allocates scratch per call"
-)]
-pub fn run_life(
-    sel: Select,
-    grid: &Grid2<i32>,
-    kern: &LifeKern2d,
-    steps: usize,
-    s: usize,
-) -> (Grid2<i32>, Engine) {
-    let has_impl = <LifeKern2d as Avx2Exec2d<i32>>::avx2_tile(8, s)
-        && shape_has_vector_tiles(8, grid.nx(), steps, s);
-    match sel.resolve(has_impl) {
-        #[cfg(target_arch = "x86_64")]
-        Engine::Avx2 => (
-            crate::t2d_avx2::run_life2d_avx2(grid, kern, steps, s),
-            Engine::Avx2,
-        ),
-        #[cfg(not(target_arch = "x86_64"))]
-        Engine::Avx2 => unreachable!("AVX2 resolved on a non-x86-64 target"),
-        Engine::Portable => (
-            t2d::run::<i32, 8, _>(grid, kern, steps, s),
-            Engine::Portable,
-        ),
-    }
-}
-
-/// Run Heat-3D (3D7P Jacobi) under `sel`; returns the final grid and the
-/// engine that executed.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `tempora_plan::Plan` instead; this one-shot wrapper allocates scratch per call"
-)]
-pub fn run_heat3d(
-    sel: Select,
-    grid: &Grid3<f64>,
-    kern: &JacobiKern3d,
-    steps: usize,
-    s: usize,
-) -> (Grid3<f64>, Engine) {
-    match sel.resolve(shape_has_vector_tiles(4, grid.nx(), steps, s)) {
-        #[cfg(target_arch = "x86_64")]
-        Engine::Avx2 => (
-            crate::t3d_avx2::run_heat3d_avx2(grid, kern, steps, s),
-            Engine::Avx2,
-        ),
-        #[cfg(not(target_arch = "x86_64"))]
-        Engine::Avx2 => unreachable!("AVX2 resolved on a non-x86-64 target"),
-        Engine::Portable => (
-            t3d::run::<f64, 4, _>(grid, kern, steps, s),
-            Engine::Portable,
-        ),
-    }
-}
-
-/// Run GS-3D (3D7P Gauss-Seidel) under `sel`; returns the final grid and
-/// the engine that executed.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `tempora_plan::Plan` instead; this one-shot wrapper allocates scratch per call"
-)]
-pub fn run_gs3d(
-    sel: Select,
-    grid: &Grid3<f64>,
-    kern: &GsKern3d,
-    steps: usize,
-    s: usize,
-) -> (Grid3<f64>, Engine) {
-    match sel.resolve(shape_has_vector_tiles(4, grid.nx(), steps, s)) {
-        #[cfg(target_arch = "x86_64")]
-        Engine::Avx2 => (
-            crate::t3d_avx2::run_gs3d_avx2(grid, kern, steps, s),
-            Engine::Avx2,
-        ),
-        #[cfg(not(target_arch = "x86_64"))]
-        Engine::Avx2 => unreachable!("AVX2 resolved on a non-x86-64 target"),
-        Engine::Portable => (
-            t3d::run::<f64, 4, _>(grid, kern, steps, s),
-            Engine::Portable,
-        ),
-    }
-}
-
-/// Run the LCS length DP under `sel`; returns the length and the engine
-/// that executed. The `i32×8` AVX2 steady state requires at least one
-/// full 8-level `A` tile and a row segment hosting the vector schedule
-/// (`lb ≥ 8·s + 1`, see [`crate::lcs_avx2::seq_has_vector_tiles`]);
-/// degenerate shapes resolve portable.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `tempora_plan::Plan` instead; this one-shot wrapper allocates scratch per call"
-)]
-pub fn run_lcs(sel: Select, a: &[u8], b: &[u8], s: usize) -> (i32, Engine) {
-    let has_impl = crate::lcs_avx2::seq_has_vector_tiles(a.len(), b.len(), s);
-    match sel.resolve(has_impl) {
-        #[cfg(target_arch = "x86_64")]
-        Engine::Avx2 => (crate::lcs_avx2::length_avx2(a, b, s), Engine::Avx2),
-        #[cfg(not(target_arch = "x86_64"))]
-        Engine::Avx2 => unreachable!("AVX2 resolved on a non-x86-64 target"),
-        Engine::Portable => (lcs::length(a, b, s), Engine::Portable),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Per-kernel AVX2 executor hooks for the tiled / parallel layer
-// ---------------------------------------------------------------------
-
-use crate::kernels::{Kernel1d, Kernel2d, Kernel3d};
-use crate::t1d::Scratch1d;
-use crate::t1d_band::MAX_BAND_STRIDE;
-use crate::t2d::Scratch2d;
-use crate::t2d_band::BandScratch2d;
-use crate::t3d::Scratch3d;
-use crate::t3d_band::BandScratch3d;
-use tempora_simd::Scalar;
-
-/// Hand-scheduled AVX2 executors a 1-D kernel exposes to the tiled layer
-/// (`tempora-tiling`): one temporal tile for the ghost-zone Jacobi
-/// runners, one skewed band for the parallelogram Gauss-Seidel runners.
-/// Kernels without a hand-scheduled steady state keep the defaults (no
-/// AVX2 path) and the tiled runners resolve their [`Select`] to the
-/// portable engine. The `avx2_*` availability checks fold in the CPU
-/// feature test, so a `true` return is a licence to call the executor.
-pub trait Avx2Exec1d: Kernel1d {
-    /// True when this kernel has a hand-scheduled AVX2 temporal tile at
-    /// stride `s` and the CPU supports AVX2+FMA.
-    fn avx2_tile(s: usize) -> bool {
-        let _ = s;
-        false
-    }
-
-    /// Advance one `VL = 4` temporal tile with the AVX2 steady state
-    /// (bit-identical to `t1d::tile`). Only callable when
-    /// [`Avx2Exec1d::avx2_tile`] returned true.
-    fn tile_avx2(&self, a: &mut [f64], n: usize, s: usize, scratch: &mut Scratch1d<4>) {
-        let _ = (a, n, s, scratch);
-        unreachable!("kernel has no AVX2 temporal tile");
-    }
-
-    /// True when this kernel has a hand-scheduled AVX2 skewed-band
-    /// executor at stride `s` and the CPU supports AVX2+FMA.
-    fn avx2_band(s: usize) -> bool {
-        let _ = s;
-        false
-    }
-
-    /// Execute one skewed band with the AVX2 steady state (bit-identical
-    /// to `t1d_band::band_temporal_gs`). Only callable when
-    /// [`Avx2Exec1d::avx2_band`] returned true.
-    fn band_avx2(&self, a: &mut [f64], xl: usize, xr: usize, n: usize, s: usize) {
-        let _ = (a, xl, xr, n, s);
-        unreachable!("kernel has no AVX2 band executor");
-    }
-}
-
-impl Avx2Exec1d for JacobiKern1d {
-    fn avx2_tile(s: usize) -> bool {
-        s <= crate::t1d_avx2::MAX_STRIDE && tempora_simd::arch::avx2_available()
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn tile_avx2(&self, a: &mut [f64], n: usize, s: usize, scratch: &mut Scratch1d<4>) {
-        crate::t1d_avx2::tile_heat1d_avx2(a, n, self, s, scratch);
-    }
-}
-
-impl Avx2Exec1d for GsKern1d {
-    fn avx2_tile(s: usize) -> bool {
-        s <= crate::t1d_avx2::MAX_STRIDE && tempora_simd::arch::avx2_available()
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn tile_avx2(&self, a: &mut [f64], n: usize, s: usize, scratch: &mut Scratch1d<4>) {
-        crate::t1d_avx2::tile_gs1d_avx2(a, n, self, s, scratch);
-    }
-
-    fn avx2_band(s: usize) -> bool {
-        s <= MAX_BAND_STRIDE && tempora_simd::arch::avx2_available()
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn band_avx2(&self, a: &mut [f64], xl: usize, xr: usize, n: usize, s: usize) {
-        crate::t1d_band::band_temporal_gs_avx2(a, xl, xr, n, s, self);
-    }
-}
-
-/// Downcast a generic 2-D temporal scratch to the lane count an AVX2
-/// steady state is pinned to. The `avx2_tile(vl, s)` capability check
-/// guarantees the runner's lane count equals the steady state's, so the
-/// downcast can only fail on a dispatch bug — and then it fails loudly.
-fn scratch_at<T: Scalar, const VL: usize, const W: usize>(
-    sc: &mut Scratch2d<T, VL>,
-) -> &mut Scratch2d<T, W> {
-    (sc as &mut dyn core::any::Any)
-        .downcast_mut::<Scratch2d<T, W>>()
-        // Panic-justification: `avx2_tile` only dispatches here when
-        // VL == W, so a failed downcast is a dispatch-table bug that must
-        // fail loudly rather than corrupt the tile.
-        .expect("AVX2 steady state invoked at a lane count its avx2_tile check rejected")
-}
-
-/// Hand-scheduled AVX2 executors a 2-D kernel exposes to the tiled layer;
-/// see [`Avx2Exec1d`]. Each steady state is pinned to one `__m256`
-/// register width — `vl = 4` f64 lanes for the floating-point kernels,
-/// `vl = 8` i32 lanes for the integer Life kernel — so `avx2_tile` takes
-/// the vector length the caller runs at and `tile_avx2` accepts the
-/// caller's scratch generically (a `true` capability check guarantees
-/// the lane counts match).
-pub trait Avx2Exec2d<T: Scalar>: Kernel2d<T> {
-    /// True when this kernel has a hand-scheduled AVX2 temporal tile at
-    /// vector length `vl` and stride `s` and the CPU supports AVX2+FMA.
-    fn avx2_tile(vl: usize, s: usize) -> bool {
-        let _ = (vl, s);
-        false
-    }
-
-    /// Advance one `VL`-level temporal tile with the AVX2 steady state
-    /// (bit-identical to `t2d::tile`). Only callable when
-    /// [`Avx2Exec2d::avx2_tile`] returned true for this `VL`.
-    fn tile_avx2<const VL: usize>(&self, g: &mut Grid2<T>, s: usize, sc: &mut Scratch2d<T, VL>) {
-        let _ = (g, s, sc);
-        unreachable!("kernel has no AVX2 temporal tile");
-    }
-
-    /// True when this kernel has a hand-scheduled AVX2 skewed-band
-    /// executor at stride `s` and the CPU supports AVX2+FMA.
-    fn avx2_band(s: usize) -> bool {
-        let _ = s;
-        false
-    }
-
-    /// Execute one skewed band with the AVX2 steady state (bit-identical
-    /// to `t2d_band::band_temporal_gs2d`). Only callable when
-    /// [`Avx2Exec2d::avx2_band`] returned true.
-    fn band_avx2(
-        &self,
-        g: &mut Grid2<T>,
-        xl: usize,
-        xr: usize,
-        s: usize,
-        sc: &mut BandScratch2d<4>,
-    ) {
-        let _ = (g, xl, xr, s, sc);
-        unreachable!("kernel has no AVX2 band executor");
-    }
-}
-
-impl Avx2Exec2d<f64> for JacobiKern2d {
-    fn avx2_tile(vl: usize, _s: usize) -> bool {
-        vl == 4 && tempora_simd::arch::avx2_available()
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn tile_avx2<const VL: usize>(
-        &self,
-        g: &mut Grid2<f64>,
-        s: usize,
-        sc: &mut Scratch2d<f64, VL>,
-    ) {
-        crate::t2d_avx2::tile_heat2d_avx2(g, self, s, scratch_at::<f64, VL, 4>(sc));
-    }
-}
-
-impl Avx2Exec2d<f64> for BoxKern2d {
-    fn avx2_tile(vl: usize, _s: usize) -> bool {
-        vl == 4 && tempora_simd::arch::avx2_available()
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn tile_avx2<const VL: usize>(
-        &self,
-        g: &mut Grid2<f64>,
-        s: usize,
-        sc: &mut Scratch2d<f64, VL>,
-    ) {
-        crate::t2d_avx2::tile_box2d_avx2(g, self, s, scratch_at::<f64, VL, 4>(sc));
-    }
-}
-
-impl Avx2Exec2d<f64> for GsKern2d {
-    fn avx2_tile(vl: usize, _s: usize) -> bool {
-        vl == 4 && tempora_simd::arch::avx2_available()
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn tile_avx2<const VL: usize>(
-        &self,
-        g: &mut Grid2<f64>,
-        s: usize,
-        sc: &mut Scratch2d<f64, VL>,
-    ) {
-        crate::t2d_avx2::tile_gs2d_avx2(g, self, s, scratch_at::<f64, VL, 4>(sc));
-    }
-
-    fn avx2_band(_s: usize) -> bool {
-        tempora_simd::arch::avx2_available()
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn band_avx2(
-        &self,
-        g: &mut Grid2<f64>,
-        xl: usize,
-        xr: usize,
-        s: usize,
-        sc: &mut BandScratch2d<4>,
-    ) {
-        crate::t2d_band::band_temporal_gs2d_avx2(g, xl, xr, s, self, sc);
-    }
-}
-
-/// The integer Life steady state runs at `vl = 8` i32 lanes (one full
-/// `__m256i`), matching the portable Life engine's lane count, so the
-/// tiled runners dispatch it exactly like the f64 kernels.
-impl Avx2Exec2d<i32> for LifeKern2d {
-    fn avx2_tile(vl: usize, _s: usize) -> bool {
-        vl == 8 && tempora_simd::arch::avx2_available()
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn tile_avx2<const VL: usize>(
-        &self,
-        g: &mut Grid2<i32>,
-        s: usize,
-        sc: &mut Scratch2d<i32, VL>,
-    ) {
-        crate::t2d_avx2::tile_life2d_avx2(g, self, s, scratch_at::<i32, VL, 8>(sc));
-    }
-}
-
-/// Hand-scheduled AVX2 executors a 3-D kernel exposes to the tiled layer;
-/// see [`Avx2Exec1d`].
-pub trait Avx2Exec3d: Kernel3d<f64> {
-    /// True when this kernel has a hand-scheduled AVX2 temporal tile at
-    /// stride `s` and the CPU supports AVX2+FMA.
-    fn avx2_tile(s: usize) -> bool {
-        let _ = s;
-        false
-    }
-
-    /// Advance one `VL = 4` temporal tile with the AVX2 steady state
-    /// (bit-identical to `t3d::tile`). Only callable when
-    /// [`Avx2Exec3d::avx2_tile`] returned true.
-    fn tile_avx2(&self, g: &mut Grid3<f64>, s: usize, sc: &mut Scratch3d<f64, 4>) {
-        let _ = (g, s, sc);
-        unreachable!("kernel has no AVX2 temporal tile");
-    }
-
-    /// True when this kernel has a hand-scheduled AVX2 skewed-band
-    /// executor at stride `s` and the CPU supports AVX2+FMA.
-    fn avx2_band(s: usize) -> bool {
-        let _ = s;
-        false
-    }
-
-    /// Execute one skewed band with the AVX2 steady state (bit-identical
-    /// to `t3d_band::band_temporal_gs3d`). Only callable when
-    /// [`Avx2Exec3d::avx2_band`] returned true.
-    fn band_avx2(
-        &self,
-        g: &mut Grid3<f64>,
-        xl: usize,
-        xr: usize,
-        s: usize,
-        sc: &mut BandScratch3d<4>,
-    ) {
-        let _ = (g, xl, xr, s, sc);
-        unreachable!("kernel has no AVX2 band executor");
-    }
-}
-
-impl Avx2Exec3d for JacobiKern3d {
-    fn avx2_tile(_s: usize) -> bool {
-        tempora_simd::arch::avx2_available()
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn tile_avx2(&self, g: &mut Grid3<f64>, s: usize, sc: &mut Scratch3d<f64, 4>) {
-        crate::t3d_avx2::tile_heat3d_avx2(g, self, s, sc);
-    }
-}
-
-impl Avx2Exec3d for GsKern3d {
-    fn avx2_tile(_s: usize) -> bool {
-        tempora_simd::arch::avx2_available()
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn tile_avx2(&self, g: &mut Grid3<f64>, s: usize, sc: &mut Scratch3d<f64, 4>) {
-        crate::t3d_avx2::tile_gs3d_avx2(g, self, s, sc);
-    }
-
-    fn avx2_band(_s: usize) -> bool {
-        tempora_simd::arch::avx2_available()
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn band_avx2(
-        &self,
-        g: &mut Grid3<f64>,
-        xl: usize,
-        xr: usize,
-        s: usize,
-        sc: &mut BandScratch3d<4>,
-    ) {
-        crate::t3d_band::band_temporal_gs3d_avx2(g, xl, xr, s, self, sc);
-    }
-}
-
 #[cfg(test)]
-// Justification: these tests pin the deprecated one-shot wrappers' behavior until their removal.
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use tempora_grid::{fill_random_1d, Boundary};
+    use crate::kernels::JacobiKern1d;
+    use crate::t1d;
+    use tempora_grid::{fill_random_1d, Boundary, Grid1};
     use tempora_stencil::{reference, Heat1dCoeffs};
+
+    /// Heat-1D at 4 lanes, resolved and run the way a plan does.
+    fn heat1d(
+        sel: Select,
+        g: &Grid1<f64>,
+        c: Heat1dCoeffs,
+        steps: usize,
+        s: usize,
+    ) -> (Grid1<f64>, Engine) {
+        let engine = sel.resolve_shape::<f64, 4>(g.n(), steps, s);
+        (
+            t1d::run_on::<4, _>(engine, g, &JacobiKern1d(c), steps, s),
+            engine,
+        )
+    }
+
+    fn grid(n: usize, seed: u64, b: f64) -> Grid1<f64> {
+        let mut g = Grid1::new(n, 1, Boundary::Dirichlet(b));
+        fill_random_1d(&mut g, seed, -1.0, 1.0);
+        g
+    }
 
     #[test]
     fn select_parses_all_names() {
@@ -752,10 +232,8 @@ mod tests {
     #[test]
     fn portable_selection_always_reports_portable() {
         let c = Heat1dCoeffs::classic(0.25);
-        let kern = JacobiKern1d(c);
-        let mut g = Grid1::new(200, 1, Boundary::Dirichlet(0.0));
-        fill_random_1d(&mut g, 1, -1.0, 1.0);
-        let (r, e) = run_heat1d(Select::Portable, &g, &kern, 8, 7);
+        let g = grid(200, 1, 0.0);
+        let (r, e) = heat1d(Select::Portable, &g, c, 8, 7);
         assert_eq!(e, Engine::Portable);
         assert!(r.interior_eq(&reference::heat1d(&g, c, 8)));
     }
@@ -763,11 +241,9 @@ mod tests {
     #[test]
     fn auto_matches_portable_bitwise() {
         let c = Heat1dCoeffs::new(0.3, 0.45, 0.25);
-        let kern = JacobiKern1d(c);
-        let mut g = Grid1::new(500, 1, Boundary::Dirichlet(-1.0));
-        fill_random_1d(&mut g, 9, -1.0, 1.0);
-        let (auto, _) = run_heat1d(Select::Auto, &g, &kern, 12, 7);
-        let (port, _) = run_heat1d(Select::Portable, &g, &kern, 12, 7);
+        let g = grid(500, 9, -1.0);
+        let (auto, _) = heat1d(Select::Auto, &g, c, 12, 7);
+        let (port, _) = heat1d(Select::Portable, &g, c, 12, 7);
         assert!(auto.interior_eq(&port));
     }
 
@@ -777,41 +253,48 @@ mod tests {
         // the portable engine, whatever the selection policy — on these
         // shapes no AVX2 steady-state instruction ever executes.
         let c = Heat1dCoeffs::classic(0.25);
-        let kern = JacobiKern1d(c);
-        let mut small = Grid1::new(5, 1, Boundary::Dirichlet(0.0));
-        fill_random_1d(&mut small, 4, -1.0, 1.0);
-        let mut big = Grid1::new(200, 1, Boundary::Dirichlet(0.0));
-        fill_random_1d(&mut big, 5, -1.0, 1.0);
+        let small = grid(5, 4, 0.0);
+        let big = grid(200, 5, 0.0);
         for sel in [Select::Auto, Select::Portable] {
             // n = 5 < VL·s = 8: no vector tile fits.
-            let (r, e) = run_heat1d(sel, &small, &kern, 8, 2);
+            let (r, e) = heat1d(sel, &small, c, 8, 2);
             assert_eq!(e, Engine::Portable, "{sel:?}");
             assert!(r.interior_eq(&reference::heat1d(&small, c, 8)));
             // steps = 3 < VL: only scalar remainder steps run.
-            let (r, e) = run_heat1d(sel, &big, &kern, 3, 2);
+            let (r, e) = heat1d(sel, &big, c, 3, 2);
             assert_eq!(e, Engine::Portable, "{sel:?}");
             assert!(r.interior_eq(&reference::heat1d(&big, c, 3)));
         }
-        let c2 = tempora_stencil::Heat2dCoeffs::classic(0.12);
-        let k2 = JacobiKern2d(c2);
-        let mut g2 = tempora_grid::Grid2::new(5, 9, 1, Boundary::Dirichlet(0.0));
-        tempora_grid::fill_random_2d(&mut g2, 6, -1.0, 1.0);
-        let (r, e) = run_heat2d(Select::Auto, &g2, &k2, 8, 2);
-        assert_eq!(e, Engine::Portable);
-        assert!(r.interior_eq(&tempora_stencil::reference::heat2d(&g2, c2, 8)));
+        // nx = 5 < VL·s = 8 in 2-D as well.
+        assert_eq!(
+            Select::Auto.resolve_shape::<f64, 4>(5, 8, 2),
+            Engine::Portable
+        );
     }
 
     #[test]
     fn workloads_without_avx2_impl_resolve_portable() {
-        // Stride beyond the 1-D register-ring cap must resolve portable
-        // even under Auto on an AVX2 host.
+        // Lane counts without an AVX2 register twin resolve portable even
+        // under Auto on an AVX2 host…
+        assert_eq!(
+            Select::Auto.resolve_shape::<f64, 8>(4096, 8, 2),
+            Engine::Portable
+        );
+        assert_eq!(
+            Select::Auto.resolve_shape::<i32, 4>(4096, 8, 2),
+            Engine::Portable
+        );
+        // …while every stride the ring holds, the widest included, has one.
         let c = Heat1dCoeffs::classic(0.25);
-        let kern = JacobiKern1d(c);
-        let mut g = Grid1::new(4096, 1, Boundary::Dirichlet(0.0));
-        fill_random_1d(&mut g, 2, -1.0, 1.0);
-        let wide = crate::t1d_avx2::MAX_STRIDE + 1;
-        let (r, e) = run_heat1d(Select::Auto, &g, &kern, 4, wide);
-        assert_eq!(e, Engine::Portable);
+        let g = grid(4096, 2, 0.0);
+        let widest = t1d::RING_CAP - 1;
+        let (r, e) = heat1d(Select::Auto, &g, c, 4, widest);
+        let expect = if arch::avx2_available() {
+            Engine::Avx2
+        } else {
+            Engine::Portable
+        };
+        assert_eq!(e, expect);
         assert!(r.interior_eq(&reference::heat1d(&g, c, 4)));
     }
 }

@@ -15,7 +15,7 @@
 //! Each adapter simply forwards to the matched scalar/pack update pair in
 //! `tempora-stencil`, so the engines inherit the bit-for-bit equivalence.
 
-use tempora_simd::{Pack, Scalar};
+use tempora_simd::{Lanes, Scalar};
 use tempora_stencil::{
     Box2dCoeffs, Gs1dCoeffs, Gs2dCoeffs, Gs3dCoeffs, Heat1dCoeffs, Heat2dCoeffs, Heat3dCoeffs,
     LifeRule,
@@ -36,14 +36,10 @@ pub trait Kernel1d: Sync {
     /// `west_new`, GS ignores `wm1`).
     fn scalar(&self, west_new: f64, wm1: f64, w0: f64, wp1: f64) -> f64;
 
-    /// Pack update with lanes in the same roles; must be lane-wise
-    /// bit-identical to [`Kernel1d::scalar`].
-    fn pack<const N: usize>(
-        &self,
-        west: Pack<f64, N>,
-        v0: Pack<f64, N>,
-        vp1: Pack<f64, N>,
-    ) -> Pack<f64, N>;
+    /// Vector update with lanes in the same roles, over any [`Lanes`]
+    /// implementation; must be lane-wise bit-identical to
+    /// [`Kernel1d::scalar`].
+    fn pack<L: Lanes<Elem = f64>>(&self, west: L, v0: L, vp1: L) -> L;
 }
 
 /// 1D3P Jacobi adapter (the Heat-1D benchmark).
@@ -60,12 +56,7 @@ impl Kernel1d for JacobiKern1d {
     }
 
     #[inline(always)]
-    fn pack<const N: usize>(
-        &self,
-        west: Pack<f64, N>,
-        v0: Pack<f64, N>,
-        vp1: Pack<f64, N>,
-    ) -> Pack<f64, N> {
+    fn pack<L: Lanes<Elem = f64>>(&self, west: L, v0: L, vp1: L) -> L {
         self.0.apply_pack(west, v0, vp1)
     }
 }
@@ -84,19 +75,14 @@ impl Kernel1d for GsKern1d {
     }
 
     #[inline(always)]
-    fn pack<const N: usize>(
-        &self,
-        west: Pack<f64, N>,
-        v0: Pack<f64, N>,
-        vp1: Pack<f64, N>,
-    ) -> Pack<f64, N> {
+    fn pack<L: Lanes<Elem = f64>>(&self, west: L, v0: L, vp1: L) -> L {
         self.0.apply_pack(west, v0, vp1)
     }
 }
 
 /// A 3×3 neighbourhood of *old* values plus the two newest-value operands
 /// Gauss-Seidel kernels need. `P` is either a scalar `T` or a
-/// `Pack<T, VL>` (lane-wise neighbourhood).
+/// [`Lanes`] vector (lane-wise neighbourhood).
 ///
 /// `v[di][dj]` is the old value at `(x+di-1, y+dj-1)`; `new_n` / `new_w`
 /// are the already-updated north/west values (ignored by Jacobi kernels;
@@ -125,8 +111,9 @@ pub trait Kernel2d<T: Scalar>: Sync {
     /// Scalar update over a neighbourhood.
     fn scalar(&self, nb: Nbhd<T>) -> T;
 
-    /// Pack update, lane-wise bit-identical to [`Kernel2d::scalar`].
-    fn pack<const N: usize>(&self, nb: Nbhd<Pack<T, N>>) -> Pack<T, N>;
+    /// Vector update over any [`Lanes`] implementation, lane-wise
+    /// bit-identical to [`Kernel2d::scalar`].
+    fn pack<L: Lanes<Elem = T>>(&self, nb: Nbhd<L>) -> L;
 }
 
 /// 2D5P Jacobi star adapter (the Heat-2D benchmark).
@@ -145,7 +132,7 @@ impl Kernel2d<f64> for JacobiKern2d {
     }
 
     #[inline(always)]
-    fn pack<const N: usize>(&self, nb: Nbhd<Pack<f64, N>>) -> Pack<f64, N> {
+    fn pack<L: Lanes<Elem = f64>>(&self, nb: Nbhd<L>) -> L {
         self.0
             .apply_pack(nb.v[0][1], nb.v[1][0], nb.v[1][1], nb.v[1][2], nb.v[2][1])
     }
@@ -166,7 +153,7 @@ impl Kernel2d<f64> for BoxKern2d {
     }
 
     #[inline(always)]
-    fn pack<const N: usize>(&self, nb: Nbhd<Pack<f64, N>>) -> Pack<f64, N> {
+    fn pack<L: Lanes<Elem = f64>>(&self, nb: Nbhd<L>) -> L {
         self.0.apply_pack(nb.v)
     }
 }
@@ -186,7 +173,7 @@ impl Kernel2d<i32> for LifeKern2d {
     }
 
     #[inline(always)]
-    fn pack<const N: usize>(&self, nb: Nbhd<Pack<i32, N>>) -> Pack<i32, N> {
+    fn pack<L: Lanes<Elem = i32>>(&self, nb: Nbhd<L>) -> L {
         self.0.apply_neighborhood_pack(nb.v)
     }
 }
@@ -207,7 +194,7 @@ impl Kernel2d<f64> for GsKern2d {
     }
 
     #[inline(always)]
-    fn pack<const N: usize>(&self, nb: Nbhd<Pack<f64, N>>) -> Pack<f64, N> {
+    fn pack<L: Lanes<Elem = f64>>(&self, nb: Nbhd<L>) -> L {
         self.0
             .apply_pack(nb.new_n, nb.new_w, nb.v[1][1], nb.v[1][2], nb.v[2][1])
     }
@@ -215,7 +202,7 @@ impl Kernel2d<f64> for GsKern2d {
 
 /// The 7-point star neighbourhood of a 3-D stencil plus the three
 /// newest-value operands Gauss-Seidel needs. `P` is a scalar `T` or a
-/// `Pack<T, VL>`.
+/// [`Lanes`] vector.
 #[derive(Clone, Copy, Debug)]
 pub struct Nbhd3<P> {
     /// Old value at `(x-1, y, z)`.
@@ -250,8 +237,9 @@ pub trait Kernel3d<T: Scalar>: Sync {
     /// Scalar update over a neighbourhood.
     fn scalar(&self, nb: Nbhd3<T>) -> T;
 
-    /// Pack update, lane-wise bit-identical to [`Kernel3d::scalar`].
-    fn pack<const N: usize>(&self, nb: Nbhd3<Pack<T, N>>) -> Pack<T, N>;
+    /// Vector update over any [`Lanes`] implementation, lane-wise
+    /// bit-identical to [`Kernel3d::scalar`].
+    fn pack<L: Lanes<Elem = T>>(&self, nb: Nbhd3<L>) -> L;
 }
 
 /// 3D7P Jacobi star adapter (the Heat-3D benchmark).
@@ -268,7 +256,7 @@ impl Kernel3d<f64> for JacobiKern3d {
     }
 
     #[inline(always)]
-    fn pack<const N: usize>(&self, nb: Nbhd3<Pack<f64, N>>) -> Pack<f64, N> {
+    fn pack<L: Lanes<Elem = f64>>(&self, nb: Nbhd3<L>) -> L {
         self.0
             .apply_pack(nb.xm, nb.ym, nb.zm, nb.m, nb.zp, nb.yp, nb.xp)
     }
@@ -289,7 +277,7 @@ impl Kernel3d<f64> for GsKern3d {
     }
 
     #[inline(always)]
-    fn pack<const N: usize>(&self, nb: Nbhd3<Pack<f64, N>>) -> Pack<f64, N> {
+    fn pack<L: Lanes<Elem = f64>>(&self, nb: Nbhd3<L>) -> L {
         self.0
             .apply_pack(nb.new_xm, nb.new_ym, nb.new_zm, nb.m, nb.zp, nb.yp, nb.xp)
     }

@@ -32,8 +32,37 @@
 //! *segment*, importing the per-level west values of the neighbouring
 //! block as a column vector and exporting its own east column.
 
-use tempora_simd::Pack;
+use crate::engine::Engine;
+use tempora_simd::{arch, LaneFn, Lanes, Pack};
 use tempora_stencil::lcs_update;
+
+/// True when the sequential (whole-row) LCS engine can run the AVX2
+/// steady state: the CPU supports AVX2+FMA, at least one full `VL = 8`
+/// temporal tile of `A`-positions exists, and the row segment hosts the
+/// vector schedule (`lb ≥ 8·s + 1`). Degenerate shapes run the scalar
+/// schedule in every engine, so dispatch must resolve them portable.
+pub fn seq_has_vector_tiles(la: usize, lb: usize, s: usize) -> bool {
+    arch::avx2_lanes::<i32, 8>() && la >= 8 && lb > 8 * s
+}
+
+/// True when every rectangle tile of an `xblock × yblock` tiling can run
+/// the AVX2 steady state: whole `VL = 8`-level bands exist (`la ≥ 8` and
+/// `xblock ≥ 8`) and **every** block column's segment — the ragged last
+/// one included — hosts the vector schedule. A short final row band
+/// (`x`-remainder `< 8`) runs scalar rows in every engine, like the
+/// `steps mod height` tails of the grid tilings, and does not demote the
+/// report; a column block too narrow for the steady state would, because
+/// all of its tiles would silently run the scalar schedule.
+pub fn rect_has_vector_tiles(la: usize, lb: usize, xblock: usize, yblock: usize, s: usize) -> bool {
+    if !(arch::avx2_lanes::<i32, 8>() && la >= 8 && xblock >= 8) {
+        return false;
+    }
+    let last = match lb % yblock {
+        0 => yblock,
+        r => r,
+    };
+    yblock.min(lb) > 8 * s && last > 8 * s
+}
 
 /// Scratch for the LCS engine (head/tail wavefront triangles).
 pub struct ScratchLcs<const VL: usize> {
@@ -89,14 +118,12 @@ pub fn scalar_row_step_seg(
 ///   the segment starts at column 1);
 /// * on return `right_col[k]` = `lcs[x0+k][y1]`.
 ///
-/// The tile is the composition of the phases exposed below —
-/// [`tile_seg_fallback_if_degenerate`], [`tile_seg_prologue`],
-/// [`tile_seg_steady`], [`tile_seg_epilogue`] — so that arch-specialized
-/// steady states (see `lcs_avx2`) can swap the middle phase while sharing
-/// the exact head/tail wavefront-triangle machinery.
+///
+/// The steady state runs on `engine` (see [`Engine::run`]).
 // Justification: the parameter list is the tile contract itself (row, columns, bounds, shift); bundling it would hide what each kernel stage touches.
 #[allow(clippy::too_many_arguments)]
 pub fn tile_seg<const VL: usize>(
+    engine: Engine,
     row: &mut [i32],
     y0: usize,
     y1: usize,
@@ -111,7 +138,16 @@ pub fn tile_seg<const VL: usize>(
         return;
     }
     let (y_max, o_prev) = tile_seg_prologue::<VL>(row, y0, y1, a_tile, b, s, left_col, sc);
-    tile_seg_steady::<VL>(row, y0, y_max, a_tile, b, s, sc, o_prev);
+    engine.run(SteadyLcs {
+        row,
+        y0,
+        y_max,
+        a_tile,
+        b,
+        s,
+        ring: &mut sc.ring,
+        o_prev,
+    });
     tile_seg_epilogue::<VL>(row, y1, a_tile, b, s, right_col, sc, y_max);
 }
 
@@ -121,7 +157,7 @@ pub fn tile_seg<const VL: usize>(
 /// report `true`. Also validates the shared tile contract.
 // Justification: same tile-contract signature as `tile_seg`.
 #[allow(clippy::too_many_arguments)]
-pub fn tile_seg_fallback_if_degenerate<const VL: usize>(
+fn tile_seg_fallback_if_degenerate<const VL: usize>(
     row: &mut [i32],
     y0: usize,
     y1: usize,
@@ -154,7 +190,7 @@ pub fn tile_seg_fallback_if_degenerate<const VL: usize>(
 /// [`tile_seg_fallback_if_degenerate`]).
 // Justification: same tile-contract signature as `tile_seg`.
 #[allow(clippy::too_many_arguments)]
-pub fn tile_seg_prologue<const VL: usize>(
+fn tile_seg_prologue<const VL: usize>(
     row: &mut [i32],
     y0: usize,
     y1: usize,
@@ -217,9 +253,9 @@ pub fn tile_seg_prologue<const VL: usize>(
     (y_max, o_prev)
 }
 
-/// Phase 2 of an LCS temporal tile (portable): the §3.4 steady state
-/// `O(y) = select(eq, diag + 1, max(up, left))` over the anchors
-/// `y ∈ [y0, y_max]`. `(y_max, o_prev)` must come from
+/// Phase 2 of an LCS temporal tile, written once over [`Lanes`]: the
+/// §3.4 steady state `O(y) = select(eq, diag + 1, max(up, left))` over
+/// the anchors `y ∈ [y0, y_max]`. `(y_max, o_prev)` must come from
 /// [`tile_seg_prologue`].
 ///
 /// The loop keeps the ring traffic at one read and one write per
@@ -230,74 +266,84 @@ pub fn tile_seg_prologue<const VL: usize>(
 /// one column per iteration and is produced by the same
 /// rotate-and-blend rule as the input vectors — no per-iteration gather
 /// remains in the hot loop.
-// Justification: same tile-contract signature as `tile_seg`.
+struct SteadyLcs<'a, const VL: usize> {
+    row: &'a mut [i32],
+    y0: usize,
+    y_max: usize,
+    a_tile: &'a [u8],
+    b: &'a [u8],
+    s: usize,
+    ring: &'a mut [Pack<i32, VL>],
+    o_prev: Pack<i32, VL>,
+}
+
+impl<const VL: usize> LaneFn<i32, VL> for SteadyLcs<'_, VL> {
+    type Output = ();
+
+    #[inline(always)]
+    fn call<L: Lanes<Elem = i32, Mem = Pack<i32, VL>>>(self) {
+        let SteadyLcs {
+            row,
+            y0,
+            y_max,
+            a_tile,
+            b,
+            s,
+            ring,
+            o_prev,
+        } = self;
+        steady::<L, VL>(row, y0, y_max, a_tile, b, s, ring, o_prev)
+    }
+}
+
+/// The loop of [`SteadyLcs`], taking its operands as parameters so the
+/// compiler knows they do not alias.
+#[inline(always)]
+// Justification: the operands are the steady state's own; bundling them again would hide which ones the loop touches.
 #[allow(clippy::too_many_arguments)]
-pub fn tile_seg_steady<const VL: usize>(
+fn steady<L: Lanes<Elem = i32, Mem = Pack<i32, VL>>, const VL: usize>(
     row: &mut [i32],
     y0: usize,
     y_max: usize,
     a_tile: &[u8],
     b: &[u8],
     s: usize,
-    sc: &mut ScratchLcs<VL>,
-    mut o_prev: Pack<i32, VL>,
+    ring: &mut [Pack<i32, VL>],
+    o_prev: Pack<i32, VL>,
 ) {
     let rlen = s + 1;
+    let ones = L::splat(1);
     // Per-tile constant: lane i compares against A[x0+1+i].
-    let a_pack = Pack::<i32, VL>::from_fn(|i| a_tile[i] as i32);
-    // One fused lane function instead of eq_mask + select: the compare,
-    // the sign-extended mask and the blend stay in a single lane-parallel
-    // expression (`mask = -(a==b); (diag+1 & mask) | (max & !mask)`),
-    // which LLVM lowers to compare/blend vector code without
-    // materializing the `[bool; VL]` mask array — bit-identical to
-    // `lcs_update_pack` (see `fused_update_matches_lcs_update_pack`).
-    let fused = |diag: Pack<i32, VL>, up: Pack<i32, VL>, left: Pack<i32, VL>, bv: Pack<i32, VL>| {
-        Pack::<i32, VL>::from_fn(|i| {
-            let mask = -((a_pack.0[i] == bv.0[i]) as i32);
-            (diag.0[i].wrapping_add(1) & mask) | (up.0[i].max(left.0[i]) & !mask)
-        })
-    };
-    let mut diag = sc.ring[(y0 + rlen - 1) % rlen];
+    let a_vec = L::gather_bytes(a_tile, 0, 1);
+    let mut o_prev = L::load(o_prev);
+    let mut diag = L::load(ring[(y0 + rlen - 1) % rlen]);
     let mut iu = y0 % rlen;
     let mut iw = (y0 + s) % rlen;
-    if s == 1 {
-        let mut b_pack = Pack::<i32, VL>::from_fn(|i| b[y0 - 1 + (VL - 1 - i)] as i32);
-        for y in y0..=y_max {
-            let up = sc.ring[iu];
-            let o = fused(diag, up, o_prev, b_pack);
-            row[y] = o.top();
-            let bottom = row[y + VL];
-            sc.ring[iw] = o.shift_up_insert(bottom);
-            o_prev = o;
-            diag = up;
-            b_pack = b_pack.shift_up_insert(b[y + VL - 1] as i32);
-            iu += 1;
-            if iu == rlen {
-                iu = 0;
-            }
-            iw += 1;
-            if iw == rlen {
-                iw = 0;
-            }
+    // Lane i of the character vector at anchor y is B[y-1 + (VL-1-i)·s];
+    // at s = 1 it advances by one rotate plus one blend per iteration.
+    let stride = -(s as isize);
+    let mut b_vec = L::gather_bytes(b, y0 - 1 + (VL - 1) * s, stride);
+    for y in y0..=y_max {
+        if s > 1 {
+            b_vec = L::gather_bytes(b, y - 1 + (VL - 1) * s, stride);
         }
-    } else {
-        for y in y0..=y_max {
-            let up = sc.ring[iu];
-            let b_pack = Pack::<i32, VL>::from_fn(|i| b[y + (VL - 1 - i) * s - 1] as i32);
-            let o = fused(diag, up, o_prev, b_pack);
-            row[y] = o.top();
-            let bottom = row[y + VL * s];
-            sc.ring[iw] = o.shift_up_insert(bottom);
-            o_prev = o;
-            diag = up;
-            iu += 1;
-            if iu == rlen {
-                iu = 0;
-            }
-            iw += 1;
-            if iw == rlen {
-                iw = 0;
-            }
+        let up = L::load(ring[iu]);
+        let o = a_vec.select_eq(b_vec, diag.add(ones), up.max(o_prev));
+        row[y] = o.top();
+        let bottom = row[y + VL * s];
+        ring[iw] = o.shift_up_insert(bottom).store();
+        o_prev = o;
+        diag = up;
+        if s == 1 {
+            b_vec = b_vec.shift_up_insert(i32::from(b[y + VL - 1]));
+        }
+        iu += 1;
+        if iu == rlen {
+            iu = 0;
+        }
+        iw += 1;
+        if iw == rlen {
+            iw = 0;
         }
     }
 }
@@ -309,7 +355,7 @@ pub fn tile_seg_steady<const VL: usize>(
 /// `j ∈ y_max ..= y_max+s`, as left behind by the steady state.
 // Justification: same tile-contract signature as `tile_seg`.
 #[allow(clippy::too_many_arguments)]
-pub fn tile_seg_epilogue<const VL: usize>(
+fn tile_seg_epilogue<const VL: usize>(
     row: &mut [i32],
     y1: usize,
     a_tile: &[u8],
@@ -356,6 +402,7 @@ pub fn tile_seg_epilogue<const VL: usize>(
 /// Advance the full DP row by `VL` sequence-`A` positions (whole-row
 /// temporal tile — the non-blocked configuration).
 pub fn tile<const VL: usize>(
+    engine: Engine,
     row: &mut [i32],
     a_tile: &[u8],
     b: &[u8],
@@ -366,7 +413,7 @@ pub fn tile<const VL: usize>(
     let zeros = [0i32; 17];
     let mut sink = [0i32; 17];
     assert!(VL < zeros.len());
-    tile_seg::<VL>(row, 1, lb, a_tile, b, s, &zeros, &mut sink, sc);
+    tile_seg::<VL>(engine, row, 1, lb, a_tile, b, s, &zeros, &mut sink, sc);
 }
 
 /// One scalar DP row step over the whole row (left boundary column 0).
@@ -375,8 +422,8 @@ pub fn scalar_row_step(row: &mut [i32], ca: u8, b: &[u8]) {
 }
 
 /// Compute the final DP row `lcs[a.len()][0..=b.len()]` with the temporal
-/// scheme (vector length `VL`, stride `s`). Bit-identical to
-/// `tempora_stencil::reference::lcs_final_row`.
+/// scheme (vector length `VL`, stride `s`) on the portable engine.
+/// Bit-identical to `tempora_stencil::reference::lcs_final_row`.
 pub fn final_row<const VL: usize>(a: &[u8], b: &[u8], s: usize) -> Vec<i32> {
     let mut row = vec![0i32; b.len() + 1];
     if b.is_empty() {
@@ -385,7 +432,14 @@ pub fn final_row<const VL: usize>(a: &[u8], b: &[u8], s: usize) -> Vec<i32> {
     let mut sc = ScratchLcs::<VL>::new(s);
     let tiles = a.len() / VL;
     for t in 0..tiles {
-        tile::<VL>(&mut row, &a[t * VL..(t + 1) * VL], b, s, &mut sc);
+        tile::<VL>(
+            Engine::Portable,
+            &mut row,
+            &a[t * VL..(t + 1) * VL],
+            b,
+            s,
+            &mut sc,
+        );
     }
     for &ca in &a[tiles * VL..] {
         scalar_row_step(&mut row, ca, b);
@@ -413,9 +467,9 @@ mod tests {
 
     #[test]
     fn fused_update_matches_lcs_update_pack() {
-        // The steady state's fused mask-blend lane function must agree
-        // with the two-step eq_mask + lcs_update_pack form bit for bit
-        // (including at i32::MAX, where diag + 1 wraps in both).
+        // The steady state's compare-and-select must agree with the
+        // two-step eq_mask + lcs_update_pack form bit for bit (including
+        // at i32::MAX, where diag + 1 wraps in both).
         let diag = Pack::<i32, 8>::from_fn(|i| [0, 3, -1, i32::MAX, 7, 2, 5, 1][i]);
         let up = Pack::<i32, 8>::from_fn(|i| (i as i32) * 3 - 4);
         let left = Pack::<i32, 8>::from_fn(|i| 6 - i as i32);
@@ -423,10 +477,7 @@ mod tests {
         let b = Pack::<i32, 8>::from_fn(|i| (i % 2) as i32);
         let eq: Mask<8> = a.eq_mask(b);
         let gold = lcs_update_pack(diag, up, left, eq);
-        let fused = Pack::<i32, 8>::from_fn(|i| {
-            let mask = -((a.0[i] == b.0[i]) as i32);
-            (diag.0[i].wrapping_add(1) & mask) | (up.0[i].max(left.0[i]) & !mask)
-        });
+        let fused = Lanes::select_eq(a, b, Lanes::add(diag, Pack::splat(1)), Lanes::max(up, left));
         assert_eq!(fused, gold);
     }
 
@@ -509,6 +560,7 @@ mod tests {
                     while y0 <= lb {
                         let y1 = (y0 + block - 1).min(lb);
                         tile_seg::<8>(
+                            Engine::Portable,
                             &mut row,
                             y0,
                             y1,

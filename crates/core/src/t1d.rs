@@ -51,10 +51,11 @@
 //! Intermediate levels `1..VL` exist only in vector registers plus `O(s)`
 //! scratch at the two boundaries, exactly as the paper prescribes.
 
+use crate::engine::Engine;
 use crate::kernels::Kernel1d;
 use tempora_grid::Grid1;
 use tempora_simd::count::{self, Op};
-use tempora_simd::Pack;
+use tempora_simd::{LaneFn, Lanes, Pack};
 
 /// Minimum interior size for the vector path of one tile; below this the
 /// tile falls back to the scalar schedule (same results).
@@ -85,14 +86,17 @@ impl<const VL: usize> Scratch1d<VL> {
 }
 
 /// Advance `a` (interior `1..=n`, Dirichlet halos at `0` and `n+1`) by
-/// `VL` time steps with the temporal-vectorized schedule.
+/// `VL` time steps with the temporal-vectorized schedule, running the
+/// steady state on `engine` (see [`Engine::run`]).
 ///
 /// `COUNT` enables reorganization-instruction accounting (see
 /// [`tempora_simd::count`]); the counted variant is for analysis only.
 ///
 /// # Panics
-/// Panics if `s` is illegal for the kernel (`s < K::MIN_STRIDE`).
+/// Panics if `s` is illegal for the kernel (`s < K::MIN_STRIDE`) or does
+/// not fit the ring (`s ≥ RING_CAP`).
 pub fn tile<const VL: usize, const COUNT: bool, K: Kernel1d>(
+    engine: Engine,
     a: &mut [f64],
     n: usize,
     kern: &K,
@@ -111,62 +115,116 @@ pub fn tile<const VL: usize, const COUNT: bool, K: Kernel1d>(
         }
         return;
     }
-    let (ring_init, x_max) = tile_prologue::<VL, K>(a, n, kern, s, scratch);
-    let ring_len = s + 1;
-
+    let (mut ring, x_max) = tile_prologue::<VL, K>(a, n, kern, s, scratch);
     // For Gauss-Seidel: O(0), lane i = level i+1 at (VL-1-i)·s.
-    let boundary_l = a[0];
-    let mut o_prev = if K::IS_GS {
-        gs_initial_output::<VL>(boundary_l, s, scratch)
+    let o_prev = if K::IS_GS {
+        gs_initial_output::<VL>(a[0], s, scratch)
     } else {
         Pack::splat(0.0)
     };
-
-    // ------------------------------------------------------------------
-    // Steady state (Algorithm 3 lines 8-15), in place. V(x-1) and V(x)
-    // are carried in registers between iterations (vm1 ← v0 ← vp1); only
-    // V(x+1) is loaded from the ring and only the produced V(x+s) is
-    // stored back — one vector load + one vector store per output vector.
-    // Ring indices are consecutive modulo ring_len, tracked incrementally
-    // (no division in the hot loop); V(x+s) reuses the dead V(x-1) slot
-    // ((x+s) ≡ (x-1) mod s+1).
-    // ------------------------------------------------------------------
-    let mut ring = ring_init;
-    {
-        let ring = &mut ring[..ring_len];
-        let mut vm1 = ring[0];
-        let mut v0 = ring[1 % ring_len];
-        let mut ip1 = 2 % ring_len;
-        let mut im1 = 0usize;
-        for x in 1..=x_max {
-            let vp1 = ring[ip1];
-            let west = if K::IS_GS { o_prev } else { vm1 };
-            let o = kern.pack::<VL>(west, v0, vp1);
-            if COUNT {
-                count::record_output(1);
-            }
-            // Store the finished top lane a[t+VL][x] (line 12)…
-            a[x] = o.top();
-            // …and produce V(x+s) = shift-up + fresh bottom (lines 13-14).
-            let bottom = a[x + VL * s];
-            ring[im1] = o.shift_up_insert(bottom);
-            if COUNT {
-                count::record(Op::ScalarExtract, 1);
-                count::record(Op::CrossLane, 1); // vrotate
-                count::record(Op::InLane, 1); // vblend
-                count::record(Op::ScalarInsert, 1);
-            }
-            if K::IS_GS {
-                o_prev = o;
-            }
-            vm1 = v0;
-            v0 = vp1;
-            im1 = if im1 + 1 == ring_len { 0 } else { im1 + 1 };
-            ip1 = if ip1 + 1 == ring_len { 0 } else { ip1 + 1 };
-        }
-    }
-
+    engine.run(Steady1d::<VL, COUNT, K> {
+        a,
+        kern,
+        s,
+        x_max,
+        ring: &mut ring,
+        o_prev,
+    });
     tile_epilogue::<VL, K>(a, n, kern, s, scratch, &ring, x_max);
+}
+
+/// The steady state of one 1-D tile (Algorithm 3 lines 8-15), in place,
+/// written once over [`Lanes`]. V(x-1) and V(x) are carried in registers
+/// between iterations (vm1 ← v0 ← vp1); only V(x+1) is read from the
+/// ring and only the produced V(x+s) is written back — the ring itself
+/// lives in registers for the whole loop. Ring indices are consecutive
+/// modulo `s+1`, tracked incrementally (no division in the hot loop);
+/// V(x+s) reuses the dead V(x-1) slot ((x+s) ≡ (x-1) mod s+1).
+struct Steady1d<'a, const VL: usize, const COUNT: bool, K> {
+    a: &'a mut [f64],
+    kern: &'a K,
+    s: usize,
+    x_max: usize,
+    /// `V(x)` at slot `x % (s+1)`, for `x ∈ 0..=s` on entry and
+    /// `x ∈ x_max..=x_max+s` on exit.
+    ring: &'a mut [Pack<f64, VL>; RING_CAP],
+    o_prev: Pack<f64, VL>,
+}
+
+impl<const VL: usize, const COUNT: bool, K: Kernel1d> LaneFn<f64, VL>
+    for Steady1d<'_, VL, COUNT, K>
+{
+    type Output = ();
+
+    #[inline(always)]
+    fn call<L: Lanes<Elem = f64, Mem = Pack<f64, VL>>>(self) {
+        let Steady1d {
+            a,
+            kern,
+            s,
+            x_max,
+            ring,
+            o_prev,
+        } = self;
+        steady::<L, VL, COUNT, K>(a, kern, s, x_max, ring, o_prev)
+    }
+}
+
+/// The loop of [`Steady1d`], taking its operands as parameters so the
+/// compiler knows they do not alias.
+#[inline(always)]
+fn steady<
+    L: Lanes<Elem = f64, Mem = Pack<f64, VL>>,
+    const VL: usize,
+    const COUNT: bool,
+    K: Kernel1d,
+>(
+    a: &mut [f64],
+    kern: &K,
+    s: usize,
+    x_max: usize,
+    ring: &mut [Pack<f64, VL>; RING_CAP],
+    o_prev: Pack<f64, VL>,
+) {
+    let ring_len = s + 1;
+    let mut regs = [L::splat(0.0); RING_CAP];
+    for (r, m) in regs.iter_mut().zip(&ring[..ring_len]) {
+        *r = L::load(*m);
+    }
+    let mut o_prev = L::load(o_prev);
+    let mut vm1 = regs[0];
+    let mut v0 = regs[1 % ring_len];
+    let mut ip1 = 2 % ring_len;
+    let mut im1 = 0usize;
+    for x in 1..=x_max {
+        let vp1 = regs[ip1];
+        let west = if K::IS_GS { o_prev } else { vm1 };
+        let o = kern.pack(west, v0, vp1);
+        if COUNT {
+            count::record_output(1);
+        }
+        // Store the finished top lane a[t+VL][x] (line 12)…
+        a[x] = o.top();
+        // …and produce V(x+s) = shift-up + fresh bottom (lines 13-14).
+        let bottom = a[x + VL * s];
+        regs[im1] = o.shift_up_insert(bottom);
+        if COUNT {
+            count::record(Op::ScalarExtract, 1);
+            count::record(Op::CrossLane, 1); // vrotate
+            count::record(Op::InLane, 1); // vblend
+            count::record(Op::ScalarInsert, 1);
+        }
+        if K::IS_GS {
+            o_prev = o;
+        }
+        vm1 = v0;
+        v0 = vp1;
+        im1 = if im1 + 1 == ring_len { 0 } else { im1 + 1 };
+        ip1 = if ip1 + 1 == ring_len { 0 } else { ip1 + 1 };
+    }
+    for (m, r) in ring[..ring_len].iter_mut().zip(&regs) {
+        *m = r.store();
+    }
 }
 
 /// Like [`tile`], but with the paper's **batched top/bottom vectors**
@@ -228,7 +286,7 @@ pub fn tile_batched<const VL: usize, const COUNT: bool, K: Kernel1d>(
                 let v0 = ring[xi % ring_len];
                 let vp1 = ring[(xi + 1) % ring_len];
                 let west = if K::IS_GS { o_prev } else { vm1 };
-                let o = kern.pack::<VL>(west, v0, vp1);
+                let o = kern.pack(west, v0, vp1);
                 vtop[k] = o.top();
                 ring[im1] = o.shift_up_insert(vbottom.extract(k));
                 if K::IS_GS {
@@ -253,7 +311,7 @@ pub fn tile_batched<const VL: usize, const COUNT: bool, K: Kernel1d>(
             let v0 = ring[x % ring_len];
             let vp1 = ring[(x + 1) % ring_len];
             let west = if K::IS_GS { o_prev } else { vm1 };
-            let o = kern.pack::<VL>(west, v0, vp1);
+            let o = kern.pack(west, v0, vp1);
             if COUNT {
                 count::record_output(1);
                 count::record(Op::CrossLane, 1);
@@ -280,18 +338,9 @@ pub fn run_batched<const VL: usize, K: Kernel1d>(
     steps: usize,
     s: usize,
 ) -> Grid1<f64> {
-    assert_eq!(grid.halo(), 1, "temporal engines use halo width 1");
-    let mut g = grid.clone();
-    let n = g.n();
-    let mut scratch = Scratch1d::<VL>::new(s);
-    let a = g.data_mut();
-    for _ in 0..steps / VL {
-        tile_batched::<VL, false, K>(a, n, kern, s, &mut scratch);
-    }
-    for _ in 0..steps % VL {
-        scalar_step_inplace(a, n, kern);
-    }
-    g
+    drive::<VL, K>(grid, kern, steps, s, |a, n, sc| {
+        tile_batched::<VL, false, K>(a, n, kern, s, sc)
+    })
 }
 
 /// Counted variant of [`run_batched`] for the §3.2 reorganization-budget
@@ -302,29 +351,19 @@ pub fn run_batched_counted<const VL: usize, K: Kernel1d>(
     steps: usize,
     s: usize,
 ) -> Grid1<f64> {
-    assert_eq!(grid.halo(), 1, "temporal engines use halo width 1");
-    let mut g = grid.clone();
-    let n = g.n();
-    let mut scratch = Scratch1d::<VL>::new(s);
-    let a = g.data_mut();
-    for _ in 0..steps / VL {
-        tile_batched::<VL, true, K>(a, n, kern, s, &mut scratch);
-    }
-    for _ in 0..steps % VL {
-        scalar_step_inplace(a, n, kern);
-    }
-    g
+    drive::<VL, K>(grid, kern, steps, s, |a, n, sc| {
+        tile_batched::<VL, true, K>(a, n, kern, s, sc)
+    })
 }
 
-/// Ring capacity of the phase API (supports strides up to 16).
+/// Ring capacity of every 1-D steady state, temporal tiles and skewed
+/// bands alike: strides up to `RING_CAP - 1 = 16` are supported.
 pub const RING_CAP: usize = 17;
 
 /// The initial Gauss-Seidel output vector `O(0)` — lane `i` holds the
 /// level-`i+1` value at `x = (VL-1-i)·s` (boundary value in the top lane)
-/// — assembled from the prologue's head planes. Shared by the portable
-/// steady states and the arch-specialized ones (see `t1d_avx2`), so every
-/// engine seeds the §3.4 recurrence identically.
-pub fn gs_initial_output<const VL: usize>(
+/// — assembled from the prologue's head planes.
+fn gs_initial_output<const VL: usize>(
     boundary_l: f64,
     s: usize,
     scratch: &Scratch1d<VL>,
@@ -343,10 +382,7 @@ pub fn gs_initial_output<const VL: usize>(
 /// gather of the initial input vectors `V(0) ..= V(s)` (Algorithm 3 lines
 /// 2-7). Returns the initial ring (slot `j % (s+1)` holds `V(j)`) and the
 /// steady-state bound `x_max`.
-///
-/// Exposed so arch-specialized steady states (see `t1d_avx2`) can share
-/// the exact boundary machinery of the portable engine.
-pub fn tile_prologue<const VL: usize, K: Kernel1d>(
+fn tile_prologue<const VL: usize, K: Kernel1d>(
     a: &mut [f64],
     n: usize,
     kern: &K,
@@ -405,7 +441,7 @@ pub fn tile_prologue<const VL: usize, K: Kernel1d>(
 /// planes and finish every level scalar-wise up to `x = n` (Algorithm 3
 /// lines 16-22). `ring` must hold `V(j)` at slot `j % (s+1)` for
 /// `j ∈ x_max ..= x_max+s`, as left behind by the steady state.
-pub fn tile_epilogue<const VL: usize, K: Kernel1d>(
+fn tile_epilogue<const VL: usize, K: Kernel1d>(
     a: &mut [f64],
     n: usize,
     kern: &K,
@@ -477,7 +513,8 @@ pub fn scalar_step_inplace<K: Kernel1d>(a: &mut [f64], n: usize, kern: &K) {
 }
 
 /// Run `steps` time steps of a 1-D stencil with the temporal-vectorized
-/// schedule (vector length `VL`), returning the final grid.
+/// schedule (vector length `VL`) on the portable engine, returning the
+/// final grid.
 ///
 /// Full tiles of height `VL` run vectorized; the `steps mod VL` remainder
 /// runs scalar. Results are bit-identical to the scalar reference.
@@ -487,19 +524,20 @@ pub fn run<const VL: usize, K: Kernel1d>(
     steps: usize,
     s: usize,
 ) -> Grid1<f64> {
-    assert_eq!(grid.halo(), 1, "temporal engines use halo width 1");
-    let mut g = grid.clone();
-    let n = g.n();
-    let mut scratch = Scratch1d::<VL>::new(s);
-    let tiles = steps / VL;
-    let a = g.data_mut();
-    for _ in 0..tiles {
-        tile::<VL, false, K>(a, n, kern, s, &mut scratch);
-    }
-    for _ in 0..steps % VL {
-        scalar_step_inplace(a, n, kern);
-    }
-    g
+    run_on::<VL, K>(Engine::Portable, grid, kern, steps, s)
+}
+
+/// [`run`] with the steady states on `engine`.
+pub fn run_on<const VL: usize, K: Kernel1d>(
+    engine: Engine,
+    grid: &Grid1<f64>,
+    kern: &K,
+    steps: usize,
+    s: usize,
+) -> Grid1<f64> {
+    drive::<VL, K>(grid, kern, steps, s, |a, n, sc| {
+        tile::<VL, false, K>(engine, a, n, kern, s, sc)
+    })
 }
 
 /// Counted variant of [`run`]: identical numerics, but every
@@ -511,14 +549,27 @@ pub fn run_counted<const VL: usize, K: Kernel1d>(
     steps: usize,
     s: usize,
 ) -> Grid1<f64> {
+    drive::<VL, K>(grid, kern, steps, s, |a, n, sc| {
+        tile::<VL, true, K>(Engine::Portable, a, n, kern, s, sc)
+    })
+}
+
+/// Advance a copy of `grid` by `steps`: `steps / VL` calls of `tile`, then
+/// the remainder as scalar steps.
+fn drive<const VL: usize, K: Kernel1d>(
+    grid: &Grid1<f64>,
+    kern: &K,
+    steps: usize,
+    s: usize,
+    mut tile: impl FnMut(&mut [f64], usize, &mut Scratch1d<VL>),
+) -> Grid1<f64> {
     assert_eq!(grid.halo(), 1, "temporal engines use halo width 1");
     let mut g = grid.clone();
     let n = g.n();
     let mut scratch = Scratch1d::<VL>::new(s);
-    let tiles = steps / VL;
     let a = g.data_mut();
-    for _ in 0..tiles {
-        tile::<VL, true, K>(a, n, kern, s, &mut scratch);
+    for _ in 0..steps / VL {
+        tile(a, n, &mut scratch);
     }
     for _ in 0..steps % VL {
         scalar_step_inplace(a, n, kern);

@@ -28,15 +28,10 @@
 //! point that the scheme composes with blocking by "only changing the
 //! loop boundary conditions".
 
+use crate::engine::Engine;
 use crate::kernels::Kernel1d;
-use tempora_simd::Pack;
-
-/// Ring capacity of the banded executors.
-const RING_CAP: usize = 17;
-
-/// Maximum space stride the banded executors support (ring capacity
-/// minus the produced slot).
-pub const MAX_BAND_STRIDE: usize = RING_CAP - 1;
+use crate::t1d::RING_CAP;
+use tempora_simd::{LaneFn, Lanes, Pack};
 
 /// True when the skewed tile anchored at `[xl, xr]` hosts the vector
 /// steady state: interior (`xl > VL`, `xr ≤ n`) and wide enough for the
@@ -71,12 +66,13 @@ pub fn band_scalar_gs<K: Kernel1d>(
 }
 
 /// One temporally vectorized skewed band (Gauss-Seidel), bit-identical to
-/// [`band_scalar_gs`].
+/// [`band_scalar_gs`], with the steady state on `engine`.
 ///
 /// Interior tiles (`xl > VL`, `xr ≤ n`, width large enough) run the
 /// vector schedule; domain-edge or narrow tiles fall back to the scalar
 /// band (identical results).
 pub fn band_temporal_gs<const VL: usize, K: Kernel1d>(
+    engine: Engine,
     a: &mut [f64],
     xl: usize,
     xr: usize,
@@ -91,32 +87,94 @@ pub fn band_temporal_gs<const VL: usize, K: Kernel1d>(
         return;
     }
     let (mut ring, mut o_prev, x_start, x_max) = band_prologue::<VL, K>(a, xl, xr, s, kern);
+    engine.run(BandSteady1d::<VL, K> {
+        a,
+        kern,
+        s,
+        x_start,
+        x_max,
+        ring: &mut ring,
+        o_prev: &mut o_prev,
+    });
+    band_epilogue::<VL, K>(a, xr, s, kern, &ring, o_prev, x_max);
+}
 
-    // ------------------------------------------------------------------
-    // Steady state — identical algebra to the rectangular engine; only
-    // the finished top lane touches the array.
-    // ------------------------------------------------------------------
+/// The steady state of one skewed band — identical algebra to the
+/// rectangular engine, with the previous *output* vector fed back as the
+/// newest-west operand (§3.4) and only the finished top lane touching
+/// the array. The ring lives in registers for the whole loop, with
+/// incremental ring indices; on exit `ring` holds `V(j)` at slot
+/// `j % (s+1)` for `j ∈ x_max ..= x_max+s` and `o_prev` is `O(x_max)`.
+struct BandSteady1d<'a, const VL: usize, K> {
+    a: &'a mut [f64],
+    kern: &'a K,
+    s: usize,
+    x_start: usize,
+    x_max: usize,
+    ring: &'a mut [Pack<f64, VL>; RING_CAP],
+    o_prev: &'a mut Pack<f64, VL>,
+}
+
+impl<const VL: usize, K: Kernel1d> LaneFn<f64, VL> for BandSteady1d<'_, VL, K> {
+    type Output = ();
+
+    #[inline(always)]
+    fn call<L: Lanes<Elem = f64, Mem = Pack<f64, VL>>>(self) {
+        let BandSteady1d {
+            a,
+            kern,
+            s,
+            x_start,
+            x_max,
+            ring,
+            o_prev,
+        } = self;
+        band_steady::<L, VL, K>(a, kern, s, x_start, x_max, ring, o_prev)
+    }
+}
+
+/// The loop of [`BandSteady1d`], taking its operands as parameters so the
+/// compiler knows they do not alias.
+#[inline(always)]
+fn band_steady<L: Lanes<Elem = f64, Mem = Pack<f64, VL>>, const VL: usize, K: Kernel1d>(
+    a: &mut [f64],
+    kern: &K,
+    s: usize,
+    x_start: usize,
+    x_max: usize,
+    ring: &mut [Pack<f64, VL>; RING_CAP],
+    o_prev: &mut Pack<f64, VL>,
+) {
     let rlen = s + 1;
+    let mut regs = [L::splat(0.0); RING_CAP];
+    for (r, m) in regs.iter_mut().zip(&ring[..rlen]) {
+        *r = L::load(*m);
+    }
+    let mut o = L::load(*o_prev);
+    let mut v0 = regs[x_start % rlen];
+    let mut ip1 = (x_start + 1) % rlen;
+    // V(x+s) replaces the dead V(x-1) slot ((x+s) ≡ x-1 mod s+1).
+    let mut ips = (x_start + s) % rlen;
     for x in x_start..=x_max {
-        let v0 = ring[x % rlen];
-        let vp1 = ring[(x + 1) % rlen];
-        let o = kern.pack::<VL>(o_prev, v0, vp1);
+        let vp1 = regs[ip1];
+        o = kern.pack(o, v0, vp1);
         a[x] = o.top();
         let bottom = a[x + VL * s];
-        // V(x+s) replaces the dead V(x-1) slot ((x+s) ≡ x-1 mod s+1).
-        ring[(x + s) % rlen] = o.shift_up_insert(bottom);
-        o_prev = o;
+        regs[ips] = o.shift_up_insert(bottom);
+        v0 = vp1;
+        ips = if ips + 1 == rlen { 0 } else { ips + 1 };
+        ip1 = if ip1 + 1 == rlen { 0 } else { ip1 + 1 };
     }
-
-    band_epilogue::<VL, K>(a, xr, s, kern, &ring, o_prev, x_max);
+    for (m, r) in ring[..rlen].iter_mut().zip(&regs) {
+        *m = r.store();
+    }
+    *o_prev = o.store();
 }
 
 /// Phase 1 of a temporal band: the scalar prologue triangles plus the
 /// initial ring `V(x_start) ..= V(x_start+s)` and the previous output
 /// vector `O(x_start-1)`. Returns `(ring, o_prev, x_start, x_max)`; ring
-/// slot `j % (s+1)` holds `V(j)`. Shared by the portable steady state and
-/// the AVX2 one ([`band_temporal_gs_avx2`]), so both bands seed the §3.4
-/// recurrence identically. Callers must have checked
+/// slot `j % (s+1)` holds `V(j)`. Callers must have checked
 /// [`vector_band_shape`].
 fn band_prologue<const VL: usize, K: Kernel1d>(
     a: &mut [f64],
@@ -140,7 +198,7 @@ fn band_prologue<const VL: usize, K: Kernel1d>(
     // holds the level-(k-1) value that lane k-1 of V(x_start) needs, so
     // that value is stashed in `saved` just before each pass.
     // ------------------------------------------------------------------
-    let mut saved = [0.0f64; MAX_BAND_STRIDE];
+    let mut saved = [0.0f64; RING_CAP];
     assert!(VL <= saved.len());
     for k in 1..VL {
         saved[k - 1] = a[x_start + (VL - k) * s];
@@ -212,115 +270,6 @@ fn band_epilogue<const VL: usize, K: Kernel1d>(
     }
 }
 
-/// One temporally vectorized skewed band with the hand-scheduled AVX2
-/// steady state — the same `vfmadd231pd` + `vpermpd` + `vblendpd`
-/// scheduling as `crate::t1d_avx2`, with the previous *output* vector fed
-/// back as the newest-west operand from a register (§3.4). Prologue and
-/// epilogue are shared with [`band_temporal_gs`], so results stay
-/// bit-identical to it and to [`band_scalar_gs`]; edge or narrow tiles
-/// fall back to the scalar band. Panics without AVX2+FMA.
-#[cfg(target_arch = "x86_64")]
-pub fn band_temporal_gs_avx2(
-    a: &mut [f64],
-    xl: usize,
-    xr: usize,
-    n: usize,
-    s: usize,
-    kern: &crate::kernels::GsKern1d,
-) {
-    use crate::kernels::GsKern1d;
-    const VL: usize = 4;
-    assert!(
-        tempora_simd::arch::avx2_available(),
-        "AVX2+FMA not available on this CPU"
-    );
-    assert!(
-        (GsKern1d::MIN_STRIDE..=MAX_BAND_STRIDE).contains(&s),
-        "stride {s} illegal for the banded AVX2 executor"
-    );
-    if !vector_band_shape::<VL>(xl, xr, n, s) {
-        band_scalar_gs(a, xl, xr, VL, n, kern);
-        return;
-    }
-    let (ring, o_prev, x_start, x_max) = band_prologue::<VL, GsKern1d>(a, xl, xr, s, kern);
-    // SAFETY: availability asserted above.
-    let (ring, o_prev) =
-        unsafe { imp::band_steady_gs_avx2(a, s, kern, &ring, o_prev, x_start, x_max) };
-    band_epilogue::<VL, GsKern1d>(a, xr, s, kern, &ring, o_prev, x_max);
-}
-
-#[cfg(target_arch = "x86_64")]
-mod imp {
-    use super::{Pack, MAX_BAND_STRIDE, RING_CAP};
-    use crate::kernels::GsKern1d;
-    use tempora_simd::arch::avx2;
-
-    /// The AVX2 steady state of one skewed Gauss-Seidel band: identical
-    /// algebra and iteration order to the portable loop in
-    /// [`super::band_temporal_gs`], with the ring kept in `__m256d`
-    /// registers and incremental ring indices. Returns the surviving ring
-    /// and `O(x_max)` for the shared epilogue.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2+FMA are available
-    /// (`tempora_simd::arch::avx2_available()`).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn band_steady_gs_avx2(
-        a: &mut [f64],
-        s: usize,
-        kern: &GsKern1d,
-        ring_init: &[Pack<f64, 4>; RING_CAP],
-        o_prev0: Pack<f64, 4>,
-        x_start: usize,
-        x_max: usize,
-    ) -> ([Pack<f64, 4>; RING_CAP], Pack<f64, 4>) {
-        const VL: usize = 4;
-        debug_assert!(s <= MAX_BAND_STRIDE);
-        let rlen = s + 1;
-        // SAFETY: every unsafe op below is an AVX2/FMA intrinsic or an
-        // `arch::avx2` vocabulary call whose sole precondition is
-        // AVX2/FMA availability — discharged by this fn's own
-        // `#[target_feature(enable = "avx2,fma")]` caller contract. All
-        // band accesses use checked slice indexing; the deepest read
-        // `a[x_max + VL·s]` is in bounds because `vector_band_shape`
-        // verified `x_max + VL·s ≤ a.len() - 1` before dispatch.
-        unsafe {
-            let cw = avx2::splat(kern.0.w);
-            let cc = avx2::splat(kern.0.c);
-            let ce = avx2::splat(kern.0.e);
-
-            let mut ring = [avx2::splat(0.0); RING_CAP];
-            for k in 0..rlen {
-                ring[k] = avx2::from_pack(ring_init[k]);
-            }
-            let mut o_prev = avx2::from_pack(o_prev0);
-            let mut v0 = ring[x_start % rlen];
-            let mut ip1 = (x_start + 1) % rlen;
-            // V(x+s) replaces the dead V(x-1) slot ((x+s) ≡ x-1 mod s+1).
-            let mut ips = (x_start + s) % rlen;
-            for x in x_start..=x_max {
-                let vp1 = ring[ip1];
-                // w·O(x-1) + (c·v0 + e·vp1), the same fused tree as the
-                // scalar oracle: l_new.mul_add(w, m.mul_add(c, r*e)).
-                let o = avx2::fmadd(o_prev, cw, avx2::fmadd(v0, cc, avx2::mul(vp1, ce)));
-                a[x] = avx2::extract_top(o);
-                let bottom = a[x + VL * s];
-                ring[ips] = avx2::shift_up_insert(o, bottom);
-                o_prev = o;
-                v0 = vp1;
-                ips = if ips + 1 == rlen { 0 } else { ips + 1 };
-                ip1 = if ip1 + 1 == rlen { 0 } else { ip1 + 1 };
-            }
-
-            let mut back = [Pack::<f64, 4>::splat(0.0); RING_CAP];
-            for k in 0..rlen {
-                back[k] = avx2::to_pack(ring[k]);
-            }
-            (back, avx2::to_pack(o_prev))
-        }
-    }
-}
-
 /// Decompose one band of height `vl` into skewed blocks of anchor width
 /// `block` and execute them left to right (the sequential schedule; the
 /// parallel executor in `tempora-tiling`/`tempora-parallel` runs the same
@@ -331,7 +280,7 @@ pub fn band_sweep_gs<const VL: usize, K: Kernel1d>(
     block: usize,
     s: usize,
     kern: &K,
-    temporal: bool,
+    temporal: Option<Engine>,
 ) {
     let span = n + VL - 1; // anchors must reach n + vl - 1 so the last
                            // level's window still covers x = n
@@ -339,10 +288,9 @@ pub fn band_sweep_gs<const VL: usize, K: Kernel1d>(
     for i in 0..nblocks {
         let xl = i * block + 1;
         let xr = ((i + 1) * block).min(span);
-        if temporal {
-            band_temporal_gs::<VL, K>(a, xl, xr, n, s, kern);
-        } else {
-            band_scalar_gs(a, xl, xr, VL, n, kern);
+        match temporal {
+            Some(engine) => band_temporal_gs::<VL, K>(engine, a, xl, xr, n, s, kern),
+            None => band_scalar_gs(a, xl, xr, VL, n, kern),
         }
     }
 }
@@ -361,7 +309,7 @@ mod tests {
         steps: usize,
         block: usize,
         s: usize,
-        temporal: bool,
+        temporal: Option<Engine>,
     ) -> Grid1<f64> {
         const VL: usize = 4;
         let mut g = g.clone();
@@ -384,7 +332,7 @@ mod tests {
             let mut g = Grid1::new(n, 1, Boundary::Dirichlet(0.4));
             fill_random_1d(&mut g, n as u64, -1.0, 1.0);
             for steps in [4usize, 8, 10] {
-                let ours = run_banded(&g, &kern, steps, block, 2, false);
+                let ours = run_banded(&g, &kern, steps, block, 2, None);
                 let gold = reference::gs1d(&g, c, steps);
                 assert!(
                     ours.interior_eq(&gold),
@@ -409,7 +357,7 @@ mod tests {
             let mut g = Grid1::new(n, 1, Boundary::Dirichlet(-0.3));
             fill_random_1d(&mut g, (n + s) as u64, -1.0, 1.0);
             for steps in [4usize, 8, 12] {
-                let ours = run_banded(&g, &kern, steps, block, s, true);
+                let ours = run_banded(&g, &kern, steps, block, s, Some(Engine::Portable));
                 let gold = reference::gs1d(&g, c, steps);
                 assert!(
                     ours.interior_eq(&gold),
@@ -428,13 +376,12 @@ mod tests {
         fill_random_1d(&mut g, 3, -1.0, 1.0);
         // block = 8 is too narrow for the vector path with s = 2: every
         // tile falls back to scalar and the sweep is still exact.
-        let ours = run_banded(&g, &kern, 8, 8, 2, true);
+        let ours = run_banded(&g, &kern, 8, 8, 2, Some(Engine::Portable));
         let gold = reference::gs1d(&g, c, 8);
         assert!(ours.interior_eq(&gold), "{:?}", ours.first_diff(&gold));
     }
 
     #[test]
-    #[cfg(target_arch = "x86_64")]
     fn avx2_band_matches_scalar_oracle_bitwise() {
         if !tempora_simd::arch::avx2_available() {
             return;
@@ -461,7 +408,7 @@ mod tests {
                         for i in 0..span.div_ceil(block) {
                             let xl = i * block + 1;
                             let xr = ((i + 1) * block).min(span);
-                            band_temporal_gs_avx2(a, xl, xr, nn, s, &kern);
+                            band_temporal_gs::<VL, _>(Engine::Avx2, a, xl, xr, nn, s, &kern);
                         }
                     }
                     for _ in 0..steps % VL {
@@ -484,7 +431,7 @@ mod tests {
         let kern = GsKern1d(c);
         let mut g = Grid1::new(400, 1, Boundary::Dirichlet(1.75));
         fill_random_1d(&mut g, 8, -1.0, 1.0);
-        let ours = run_banded(&g, &kern, 8, 100, 4, true);
+        let ours = run_banded(&g, &kern, 8, 100, 4, Some(Engine::Portable));
         let gold = reference::gs1d(&g, c, 8);
         assert!(ours.interior_eq(&gold), "{:?}", ours.first_diff(&gold));
         assert_eq!(ours.get(0), 1.75);

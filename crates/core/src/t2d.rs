@@ -31,9 +31,10 @@
 //! same code instantiates Heat-2D (`f64×4`), 2D9P (`f64×4`), Life
 //! (`i32×8`) and GS-2D (`f64×4`).
 
+use crate::engine::Engine;
 use crate::kernels::{Kernel2d, Nbhd};
 use tempora_grid::Grid2;
-use tempora_simd::{Pack, Scalar};
+use tempora_simd::{LaneFn, Lanes, Pack, Scalar};
 
 /// Scratch state for one 2-D sweep configuration, reusable across tiles.
 pub struct Scratch2d<T: Scalar, const VL: usize> {
@@ -117,16 +118,13 @@ pub fn scalar_step_inplace<T: Scalar, K: Kernel2d<T>>(
 }
 
 /// Advance the grid by `VL` time steps with the temporal-vectorized
-/// schedule (in place, single array).
-///
-/// The tile is the composition of the three phases exposed below —
-/// [`tile_prologue`], [`tile_steady`], [`tile_epilogue`] — so that
-/// arch-specialized steady states (see `t2d_avx2`) can swap the middle
-/// phase while sharing the exact boundary machinery.
+/// schedule (in place, single array), running the steady state on
+/// `engine` (see [`Engine::run`]).
 ///
 /// # Panics
 /// Panics if `s < K::MIN_STRIDE` or the grid's halo is not 1.
 pub fn tile<T: Scalar, const VL: usize, K: Kernel2d<T>>(
+    engine: Engine,
     g: &mut Grid2<T>,
     kern: &K,
     s: usize,
@@ -136,14 +134,25 @@ pub fn tile<T: Scalar, const VL: usize, K: Kernel2d<T>>(
         return;
     }
     let x_max = tile_prologue::<T, VL, K>(g, kern, s, sc);
-    tile_steady::<T, VL, K>(g, kern, s, sc, x_max);
+    let (ny, p) = (g.ny(), g.pitch());
+    let bc = g.boundary().value();
+    engine.run(Steady2d {
+        a: g.data_mut(),
+        ny,
+        p,
+        bc,
+        kern,
+        s,
+        sc,
+        x_max,
+    });
     tile_epilogue::<T, VL, K>(g, kern, s, sc, x_max);
 }
 
 /// Shared degenerate-tile guard: when the outer extent cannot host the
 /// vector schedule (`nx < VL·s`), run the `VL` steps with the scalar
 /// schedule instead (same results) and report `true`.
-pub fn tile_fallback_if_degenerate<T: Scalar, const VL: usize, K: Kernel2d<T>>(
+fn tile_fallback_if_degenerate<T: Scalar, const VL: usize, K: Kernel2d<T>>(
     g: &mut Grid2<T>,
     kern: &K,
     s: usize,
@@ -171,7 +180,7 @@ pub fn tile_fallback_if_degenerate<T: Scalar, const VL: usize, K: Kernel2d<T>>(
 /// the initial wavefront ring `W(0) ..= W(s)`, and (for Gauss-Seidel) the
 /// initial output row `O(0, ·)` in `sc.o_prev`. Returns the steady-state
 /// bound `x_max`.
-pub fn tile_prologue<T: Scalar, const VL: usize, K: Kernel2d<T>>(
+fn tile_prologue<T: Scalar, const VL: usize, K: Kernel2d<T>>(
     g: &mut Grid2<T>,
     kern: &K,
     s: usize,
@@ -274,21 +283,59 @@ pub fn tile_prologue<T: Scalar, const VL: usize, K: Kernel2d<T>>(
     x_max
 }
 
-/// Phase 2 of a 2-D temporal tile (portable): one vectorized pass per
-/// outer row `x ∈ 1..=x_max`, producing `W(x+s)` from `W(x-1..=x+1)` with
-/// the rotate-and-blend rule. `x_max` must come from [`tile_prologue`].
-pub fn tile_steady<T: Scalar, const VL: usize, K: Kernel2d<T>>(
-    g: &mut Grid2<T>,
+/// Phase 2 of a 2-D temporal tile, written once over [`Lanes`]: one
+/// vectorized pass per outer row `x ∈ 1..=x_max`, producing `W(x+s)`
+/// from `W(x-1..=x+1)` with the rotate-and-blend rule. The west and
+/// centre vectors are carried in registers between inner iterations
+/// (w ← m ← e), and only the operands the kernel reads are loaded.
+/// `x_max` must come from [`tile_prologue`].
+struct Steady2d<'a, T: Scalar, const VL: usize, K> {
+    a: &'a mut [T],
+    ny: usize,
+    p: usize,
+    bc: T,
+    kern: &'a K,
+    s: usize,
+    sc: &'a mut Scratch2d<T, VL>,
+    x_max: usize,
+}
+
+impl<T: Scalar, const VL: usize, K: Kernel2d<T>> LaneFn<T, VL> for Steady2d<'_, T, VL, K> {
+    type Output = ();
+
+    #[inline(always)]
+    fn call<L: Lanes<Elem = T, Mem = Pack<T, VL>>>(self) {
+        let Steady2d {
+            a,
+            ny,
+            p,
+            bc,
+            kern,
+            s,
+            sc,
+            x_max,
+        } = self;
+        steady::<L, T, VL, K>(a, ny, p, bc, kern, s, sc, x_max)
+    }
+}
+
+/// The loop of [`Steady2d`], taking its operands as parameters so the
+/// compiler knows they do not alias.
+#[inline(always)]
+// Justification: the operands are the steady state's own; bundling them again would hide which ones the loop touches.
+#[allow(clippy::too_many_arguments)]
+fn steady<L: Lanes<Elem = T, Mem = Pack<T, VL>>, T: Scalar, const VL: usize, K: Kernel2d<T>>(
+    a: &mut [T],
+    ny: usize,
+    p: usize,
+    bc: T,
     kern: &K,
     s: usize,
     sc: &mut Scratch2d<T, VL>,
     x_max: usize,
 ) {
-    let (ny, p) = (g.ny(), g.pitch());
-    let bc = g.boundary().value();
     let rlen = s + 2;
-    let a = g.data_mut();
-    let zero = Pack::<T, VL>::splat(T::ZERO);
+    let zero = L::splat(T::ZERO);
     for x in 1..=x_max {
         let im1 = (x - 1) % rlen;
         let i0 = x % rlen;
@@ -300,34 +347,43 @@ pub fn tile_steady<T: Scalar, const VL: usize, K: Kernel2d<T>>(
             let rm1 = &sc.ring[im1];
             let r0 = &sc.ring[i0];
             let rp1 = &sc.ring[ip1];
-            let mut o_west = Pack::splat(bc); // O(x, 0): y-boundary column
-                                              // West and centre packs are carried in registers (w ← m ← e).
-            let mut w_pack = r0[0];
-            let mut m_pack = r0[1];
+            let mut o_west = L::splat(bc); // O(x, 0): y-boundary column
+            let mut w = L::load(r0[0]);
+            let mut m = L::load(r0[1]);
             for y in 1..=ny {
-                let e_pack = r0[y + 1];
+                let e = L::load(r0[y + 1]);
                 let corners = if K::IS_BOX {
-                    [rm1[y - 1], rm1[y + 1], rp1[y - 1], rp1[y + 1]]
+                    [
+                        L::load(rm1[y - 1]),
+                        L::load(rm1[y + 1]),
+                        L::load(rp1[y - 1]),
+                        L::load(rp1[y + 1]),
+                    ]
                 } else {
                     [zero; 4]
                 };
+                let north = if K::IS_GS { zero } else { L::load(rm1[y]) };
                 let nb = Nbhd {
                     v: [
-                        [corners[0], rm1[y], corners[1]],
-                        [w_pack, m_pack, e_pack],
-                        [corners[2], rp1[y], corners[3]],
+                        [corners[0], north, corners[1]],
+                        [w, m, e],
+                        [corners[2], L::load(rp1[y]), corners[3]],
                     ],
-                    new_n: if K::IS_GS { sc.o_prev[y] } else { zero },
+                    new_n: if K::IS_GS {
+                        L::load(sc.o_prev[y])
+                    } else {
+                        zero
+                    },
                     new_w: o_west,
                 };
-                w_pack = m_pack;
-                m_pack = e_pack;
+                w = m;
+                m = e;
                 let o = kern.pack(nb);
                 a[x * p + y] = o.top();
                 let bottom = a[(x + VL * s) * p + y];
-                wrow[y] = o.shift_up_insert(bottom);
+                wrow[y] = o.shift_up_insert(bottom).store();
                 if K::IS_GS {
-                    sc.o_cur[y] = o;
+                    sc.o_cur[y] = o.store();
                     o_west = o;
                 }
             }
@@ -344,7 +400,7 @@ pub fn tile_steady<T: Scalar, const VL: usize, K: Kernel2d<T>>(
 /// `x_max` must match the value [`tile_prologue`] returned and the ring
 /// must hold `W(j)` at slot `j % (s+2)` for `j ∈ x_max ..= x_max+s`, as
 /// left behind by the steady state.
-pub fn tile_epilogue<T: Scalar, const VL: usize, K: Kernel2d<T>>(
+fn tile_epilogue<T: Scalar, const VL: usize, K: Kernel2d<T>>(
     g: &mut Grid2<T>,
     kern: &K,
     s: usize,
@@ -439,8 +495,8 @@ pub fn tile_epilogue<T: Scalar, const VL: usize, K: Kernel2d<T>>(
 }
 
 /// Run `steps` time steps of a 2-D stencil with the temporal-vectorized
-/// schedule, returning the final grid. Bit-identical to the scalar
-/// reference sweeps.
+/// schedule on the portable engine, returning the final grid.
+/// Bit-identical to the scalar reference sweeps.
 pub fn run<T: Scalar, const VL: usize, K: Kernel2d<T>>(
     grid: &Grid2<T>,
     kern: &K,
@@ -451,7 +507,7 @@ pub fn run<T: Scalar, const VL: usize, K: Kernel2d<T>>(
     let mut g = grid.clone();
     let mut sc = Scratch2d::<T, VL>::new(s, g.ny());
     for _ in 0..steps / VL {
-        tile::<T, VL, K>(&mut g, kern, s, &mut sc);
+        tile::<T, VL, K>(Engine::Portable, &mut g, kern, s, &mut sc);
     }
     for _ in 0..steps % VL {
         let (mut ra, mut rb) = (

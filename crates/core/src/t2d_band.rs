@@ -12,9 +12,10 @@
 //! of level `k-1` finds it intact because the windows shrink by one row
 //! per level.
 
+use crate::engine::Engine;
 use crate::kernels::{Kernel2d, Nbhd};
 use tempora_grid::Grid2;
-use tempora_simd::Pack;
+use tempora_simd::{LaneFn, Lanes, Pack};
 
 /// Scalar 2-D Gauss-Seidel row update over one row `x` (columns
 /// `1..=ny`), in place.
@@ -57,9 +58,10 @@ pub fn band_scalar_gs2d<K: Kernel2d<f64>>(
 }
 
 /// One temporally vectorized skewed band (2-D Gauss-Seidel),
-/// bit-identical to [`band_scalar_gs2d`]. Edge or narrow tiles fall back
-/// to the scalar band.
+/// bit-identical to [`band_scalar_gs2d`], with the steady state on
+/// `engine`. Edge or narrow tiles fall back to the scalar band.
 pub fn band_temporal_gs2d<const VL: usize, K: Kernel2d<f64>>(
+    engine: Engine,
     g: &mut Grid2<f64>,
     xl: usize,
     xr: usize,
@@ -76,15 +78,26 @@ pub fn band_temporal_gs2d<const VL: usize, K: Kernel2d<f64>>(
         return;
     }
     let (x_start, x_max) = band_prologue2d::<VL, K>(g, xl, xr, s, kern, sc);
-    band_steady2d::<VL, K>(g, s, kern, sc, x_start, x_max);
+    let (ny, p) = (g.ny(), g.pitch());
+    let bc = g.boundary().value();
+    engine.run(BandSteady2d {
+        a: g.data_mut(),
+        ny,
+        p,
+        bc,
+        kern,
+        s,
+        sc,
+        x_start,
+        x_max,
+    });
     band_epilogue2d::<VL, K>(g, xr, s, kern, sc, x_max);
 }
 
 /// Phase 1 of a 2-D temporal band: scalar prologue rows plus the initial
 /// ring rows `V(x_start, ·) ..= V(x_start+s, ·)` and the previous output
 /// row `O(x_start-1, ·)` in `sc.o_prev`. Returns `(x_start, x_max)`.
-/// Shared by the portable and AVX2 steady states. Callers must have
-/// checked [`crate::t1d_band::vector_band_shape`].
+/// Callers must have checked [`crate::t1d_band::vector_band_shape`].
 fn band_prologue2d<const VL: usize, K: Kernel2d<f64>>(
     g: &mut Grid2<f64>,
     xl: usize,
@@ -146,21 +159,59 @@ fn band_prologue2d<const VL: usize, K: Kernel2d<f64>>(
     (x_start, x_max)
 }
 
-/// Portable steady state of a 2-D temporal band (identical to the
-/// rectangular engine's inner loop).
-fn band_steady2d<const VL: usize, K: Kernel2d<f64>>(
-    g: &mut Grid2<f64>,
+/// Steady state of a 2-D temporal band, written once over [`Lanes`]
+/// (identical algebra to the rectangular engine's inner loop, with the
+/// centre vector carried in a register).
+struct BandSteady2d<'a, const VL: usize, K> {
+    a: &'a mut [f64],
+    ny: usize,
+    p: usize,
+    bc: f64,
+    kern: &'a K,
     s: usize,
+    sc: &'a mut BandScratch2d<VL>,
+    x_start: usize,
+    x_max: usize,
+}
+
+impl<const VL: usize, K: Kernel2d<f64>> LaneFn<f64, VL> for BandSteady2d<'_, VL, K> {
+    type Output = ();
+
+    #[inline(always)]
+    fn call<L: Lanes<Elem = f64, Mem = Pack<f64, VL>>>(self) {
+        let BandSteady2d {
+            a,
+            ny,
+            p,
+            bc,
+            kern,
+            s,
+            sc,
+            x_start,
+            x_max,
+        } = self;
+        band_steady::<L, VL, K>(a, ny, p, bc, kern, s, sc, x_start, x_max)
+    }
+}
+
+/// The loop of [`BandSteady2d`], taking its operands as parameters so the
+/// compiler knows they do not alias.
+#[inline(always)]
+// Justification: the operands are the steady state's own; bundling them again would hide which ones the loop touches.
+#[allow(clippy::too_many_arguments)]
+fn band_steady<L: Lanes<Elem = f64, Mem = Pack<f64, VL>>, const VL: usize, K: Kernel2d<f64>>(
+    a: &mut [f64],
+    ny: usize,
+    p: usize,
+    bc: f64,
     kern: &K,
+    s: usize,
     sc: &mut BandScratch2d<VL>,
     x_start: usize,
     x_max: usize,
 ) {
-    let (ny, p) = (g.ny(), g.pitch());
-    let bc = g.boundary().value();
-    let a = g.data_mut();
     let rlen = s + 1;
-    let zero = Pack::<f64, VL>::splat(0.0);
+    let zero = L::splat(0.0);
     for x in x_start..=x_max {
         let i0 = x % rlen;
         let ip1 = (x + 1) % rlen;
@@ -169,23 +220,26 @@ fn band_steady2d<const VL: usize, K: Kernel2d<f64>>(
         {
             let r0 = &sc.ring[i0];
             let rp1 = &sc.ring[ip1];
-            let mut o_west = Pack::splat(bc);
+            let mut o_west = L::splat(bc); // O(x, 0): y-boundary
+            let mut m = L::load(r0[1]);
             for y in 1..=ny {
+                let e = L::load(r0[y + 1]);
                 let nb = Nbhd {
                     v: [
                         [zero, zero, zero],
-                        [r0[y - 1], r0[y], r0[y + 1]],
-                        [zero, rp1[y], zero],
+                        [zero, m, e],
+                        [zero, L::load(rp1[y]), zero],
                     ],
-                    new_n: sc.o_prev[y],
+                    new_n: L::load(sc.o_prev[y]),
                     new_w: o_west,
                 };
                 let o = kern.pack(nb);
                 a[x * p + y] = o.top();
                 let bottom = a[(x + VL * s) * p + y];
-                wrow[y] = o.shift_up_insert(bottom);
-                sc.o_cur[y] = o;
+                wrow[y] = o.shift_up_insert(bottom).store();
+                sc.o_cur[y] = o.store();
                 o_west = o;
+                m = e;
             }
             // Halo packs of the produced row.
             wrow[0] = Pack::splat(bc);
@@ -235,129 +289,6 @@ fn band_epilogue2d<const VL: usize, K: Kernel2d<f64>>(
     }
 }
 
-/// One temporally vectorized skewed band (2-D Gauss-Seidel) with the
-/// hand-scheduled AVX2 steady state — the same scheduling
-/// (`vfmadd231pd`, `vpermpd`, `vblendpd`) as `crate::t2d_avx2`, with the newest-north
-/// operand from the previous output row and the newest-west operand from
-/// the previous output vector in a register (§3.4). Prologue/epilogue are
-/// shared with [`band_temporal_gs2d`], so results stay bit-identical to
-/// it and to [`band_scalar_gs2d`]; edge or narrow tiles fall back to the
-/// scalar band. Panics without AVX2+FMA.
-#[cfg(target_arch = "x86_64")]
-pub fn band_temporal_gs2d_avx2(
-    g: &mut Grid2<f64>,
-    xl: usize,
-    xr: usize,
-    s: usize,
-    kern: &crate::kernels::GsKern2d,
-    sc: &mut BandScratch2d<4>,
-) {
-    use crate::kernels::GsKern2d;
-    const VL: usize = 4;
-    assert!(
-        tempora_simd::arch::avx2_available(),
-        "AVX2+FMA not available on this CPU"
-    );
-    assert!(
-        s >= GsKern2d::MIN_STRIDE,
-        "stride {s} illegal for this kernel"
-    );
-    let (nx, ny) = (g.nx(), g.ny());
-    assert_eq!(sc.ny, ny, "scratch shape mismatch");
-    if !crate::t1d_band::vector_band_shape::<VL>(xl, xr, nx, s) {
-        band_scalar_gs2d(g, xl, xr, VL, kern);
-        return;
-    }
-    let (x_start, x_max) = band_prologue2d::<VL, GsKern2d>(g, xl, xr, s, kern, sc);
-    // SAFETY: availability asserted above.
-    unsafe { imp::band_steady_gs2d_avx2(g, s, kern, sc, x_start, x_max) };
-    band_epilogue2d::<VL, GsKern2d>(g, xr, s, kern, sc, x_max);
-}
-
-#[cfg(target_arch = "x86_64")]
-mod imp {
-    use super::{BandScratch2d, Grid2, Pack};
-    use crate::kernels::GsKern2d;
-    use tempora_simd::arch::avx2;
-
-    /// The AVX2 steady state of one skewed 2-D Gauss-Seidel band:
-    /// identical algebra and iteration order to
-    /// [`super::band_steady2d`].
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2+FMA are available
-    /// (`tempora_simd::arch::avx2_available()`).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn band_steady_gs2d_avx2(
-        g: &mut Grid2<f64>,
-        s: usize,
-        kern: &GsKern2d,
-        sc: &mut BandScratch2d<4>,
-        x_start: usize,
-        x_max: usize,
-    ) {
-        const VL: usize = 4;
-        let (ny, p) = (g.ny(), g.pitch());
-        let bc = g.boundary().value();
-        let a = g.data_mut();
-        let rlen = s + 1;
-        let cn = avx2::splat(kern.0.cn);
-        let cw = avx2::splat(kern.0.cw);
-        let cc = avx2::splat(kern.0.cc);
-        let ce = avx2::splat(kern.0.ce);
-        let cs = avx2::splat(kern.0.cs);
-        // SAFETY: every unsafe op in the band steady-state loop is an
-        // `arch::avx2` vocabulary call whose sole precondition is
-        // AVX2/FMA availability — discharged by this fn's own
-        // `#[target_feature(enable = "avx2,fma")]` caller contract. All
-        // grid and ring accesses use checked slice indexing; the deepest
-        // read `a[(x_max + VL·s)·p + y]` is in bounds because the band
-        // shape check verified `x_max + VL·s ≤ nx + 1` before dispatch.
-        unsafe {
-            for x in x_start..=x_max {
-                let i0 = x % rlen;
-                let ip1 = (x + 1) % rlen;
-                let ips = (x + s) % rlen;
-                let mut wrow = core::mem::take(&mut sc.ring[ips]);
-                {
-                    let r0 = &sc.ring[i0];
-                    let rp1 = &sc.ring[ip1];
-                    let mut o_west = avx2::splat(bc); // O(x, 0): y-boundary
-                    let mut m = avx2::from_pack(r0[1]);
-                    for y in 1..=ny {
-                        let e = avx2::from_pack(r0[y + 1]);
-                        let sth = avx2::from_pack(rp1[y]);
-                        let n_new = avx2::from_pack(sc.o_prev[y]);
-                        // new_n·cn + (new_w·cw + (m·cc + (e·ce + s·cs))),
-                        // the same fused tree as Gs2dCoeffs::apply.
-                        let o = avx2::fmadd(
-                            n_new,
-                            cn,
-                            avx2::fmadd(
-                                o_west,
-                                cw,
-                                avx2::fmadd(m, cc, avx2::fmadd(e, ce, avx2::mul(sth, cs))),
-                            ),
-                        );
-                        a[x * p + y] = avx2::extract_top(o);
-                        let bottom = a[(x + VL * s) * p + y];
-                        wrow[y] = avx2::to_pack(avx2::shift_up_insert(o, bottom));
-                        sc.o_cur[y] = avx2::to_pack(o);
-                        o_west = o;
-                        m = e;
-                    }
-                    wrow[0] = Pack::splat(bc);
-                    wrow[ny + 1] = Pack::splat(bc);
-                }
-                sc.ring[ips] = wrow;
-                core::mem::swap(&mut sc.o_prev, &mut sc.o_cur);
-                sc.o_cur[0] = Pack::splat(bc);
-                sc.o_cur[ny + 1] = Pack::splat(bc);
-            }
-        }
-    }
-}
-
 /// Scratch for the banded 2-D engine.
 pub struct BandScratch2d<const VL: usize> {
     ring: Vec<Vec<Pack<f64, VL>>>,
@@ -389,7 +320,7 @@ pub fn band_sweep_gs2d<const VL: usize, K: Kernel2d<f64>>(
     s: usize,
     kern: &K,
     sc: &mut BandScratch2d<VL>,
-    temporal: bool,
+    temporal: Option<Engine>,
 ) {
     let nx = g.nx();
     let span = nx + VL - 1;
@@ -397,10 +328,9 @@ pub fn band_sweep_gs2d<const VL: usize, K: Kernel2d<f64>>(
     for i in 0..nblocks {
         let xl = i * block + 1;
         let xr = ((i + 1) * block).min(span);
-        if temporal {
-            band_temporal_gs2d::<VL, K>(g, xl, xr, s, kern, sc);
-        } else {
-            band_scalar_gs2d(g, xl, xr, VL, kern);
+        match temporal {
+            Some(engine) => band_temporal_gs2d::<VL, K>(engine, g, xl, xr, s, kern, sc),
+            None => band_scalar_gs2d(g, xl, xr, VL, kern),
         }
     }
 }
@@ -419,7 +349,7 @@ mod tests {
         steps: usize,
         block: usize,
         s: usize,
-        temporal: bool,
+        temporal: Option<Engine>,
     ) -> Grid2<f64> {
         const VL: usize = 4;
         let mut g = g.clone();
@@ -441,7 +371,7 @@ mod tests {
         for &(nx, ny, block) in &[(30usize, 9usize, 8usize), (48, 17, 16), (25, 6, 25)] {
             let mut g = Grid2::new(nx, ny, 1, Boundary::Dirichlet(0.2));
             fill_random_2d(&mut g, (nx * ny) as u64, -1.0, 1.0);
-            let ours = run_banded(&g, &kern, 8, block, 2, false);
+            let ours = run_banded(&g, &kern, 8, block, 2, None);
             let gold = reference::gs2d(&g, c, 8);
             assert!(
                 ours.interior_eq(&gold),
@@ -463,7 +393,7 @@ mod tests {
             let mut g = Grid2::new(nx, ny, 1, Boundary::Dirichlet(-0.4));
             fill_random_2d(&mut g, (nx + ny) as u64, -1.0, 1.0);
             for steps in [4usize, 8, 10] {
-                let ours = run_banded(&g, &kern, steps, block, s, true);
+                let ours = run_banded(&g, &kern, steps, block, s, Some(Engine::Portable));
                 let gold = reference::gs2d(&g, c, steps);
                 assert!(
                     ours.interior_eq(&gold),
@@ -475,7 +405,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(target_arch = "x86_64")]
     fn avx2_band_matches_scalar_oracle_bitwise() {
         if !tempora_simd::arch::avx2_available() {
             return;
@@ -499,7 +428,15 @@ mod tests {
                     for i in 0..span.div_ceil(block) {
                         let xl = i * block + 1;
                         let xr = ((i + 1) * block).min(span);
-                        band_temporal_gs2d_avx2(&mut ours, xl, xr, s, &kern, &mut sc);
+                        band_temporal_gs2d::<4, _>(
+                            Engine::Avx2,
+                            &mut ours,
+                            xl,
+                            xr,
+                            s,
+                            &kern,
+                            &mut sc,
+                        );
                     }
                 }
                 for _ in 0..steps % VL {
@@ -522,7 +459,7 @@ mod tests {
         let kern = GsKern2d(c);
         let mut g = Grid2::new(40, 8, 1, Boundary::Dirichlet(0.0));
         fill_random_2d(&mut g, 2, -1.0, 1.0);
-        let ours = run_banded(&g, &kern, 8, 10, 2, true);
+        let ours = run_banded(&g, &kern, 8, 10, 2, Some(Engine::Portable));
         let gold = reference::gs2d(&g, c, 8);
         assert!(ours.interior_eq(&gold), "{:?}", ours.first_diff(&gold));
     }

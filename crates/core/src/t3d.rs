@@ -12,9 +12,10 @@
 //! current output plane being filled (newest `y-1` operand) and the
 //! previous output register (newest `z-1` operand).
 
+use crate::engine::Engine;
 use crate::kernels::{Kernel3d, Nbhd3};
 use tempora_grid::Grid3;
-use tempora_simd::{Pack, Scalar};
+use tempora_simd::{LaneFn, Lanes, Pack, Scalar};
 
 /// Scratch state for one 3-D sweep configuration, reusable across tiles.
 pub struct Scratch3d<T: Scalar, const VL: usize> {
@@ -109,13 +110,10 @@ pub fn scalar_step_inplace<T: Scalar, K: Kernel3d<T>>(
 }
 
 /// Advance the grid by `VL` time steps with the temporal-vectorized
-/// schedule (in place, single array).
-///
-/// The tile is the composition of the three phases exposed below —
-/// [`tile_prologue`], [`tile_steady`], [`tile_epilogue`] — so that
-/// arch-specialized steady states (see `t3d_avx2`) can swap the middle
-/// phase while sharing the exact boundary machinery.
+/// schedule (in place, single array), running the steady state on
+/// `engine` (see [`Engine::run`]).
 pub fn tile<T: Scalar, const VL: usize, K: Kernel3d<T>>(
+    engine: Engine,
     g: &mut Grid3<T>,
     kern: &K,
     s: usize,
@@ -125,14 +123,27 @@ pub fn tile<T: Scalar, const VL: usize, K: Kernel3d<T>>(
         return;
     }
     let x_max = tile_prologue::<T, VL, K>(g, kern, s, sc);
-    tile_steady::<T, VL, K>(g, kern, s, sc, x_max);
+    let (ny, nz, p, pl) = (g.ny(), g.nz(), g.pitch(), g.plane());
+    let bc = g.boundary().value();
+    engine.run(Steady3d {
+        a: g.data_mut(),
+        ny,
+        nz,
+        p,
+        pl,
+        bc,
+        kern,
+        s,
+        sc,
+        x_max,
+    });
     tile_epilogue::<T, VL, K>(g, kern, s, sc, x_max);
 }
 
 /// Shared degenerate-tile guard: when the outer extent cannot host the
 /// vector schedule (`nx < VL·s`), run the `VL` steps with the scalar
 /// schedule instead (same results) and report `true`.
-pub fn tile_fallback_if_degenerate<T: Scalar, const VL: usize, K: Kernel3d<T>>(
+fn tile_fallback_if_degenerate<T: Scalar, const VL: usize, K: Kernel3d<T>>(
     g: &mut Grid3<T>,
     kern: &K,
     s: usize,
@@ -164,7 +175,7 @@ pub fn tile_fallback_if_degenerate<T: Scalar, const VL: usize, K: Kernel3d<T>>(
 /// the initial wavefront ring `W(0) ..= W(s)`, and (for Gauss-Seidel) the
 /// initial output plane `O(0, ·, ·)` in `sc.o_prev` (with `sc.o_cur`
 /// halo-initialized). Returns the steady-state bound `x_max`.
-pub fn tile_prologue<T: Scalar, const VL: usize, K: Kernel3d<T>>(
+fn tile_prologue<T: Scalar, const VL: usize, K: Kernel3d<T>>(
     g: &mut Grid3<T>,
     kern: &K,
     s: usize,
@@ -296,23 +307,65 @@ pub fn tile_prologue<T: Scalar, const VL: usize, K: Kernel3d<T>>(
     x_max
 }
 
-/// Phase 2 of a 3-D temporal tile (portable): one vectorized pass per
-/// outer slab `x ∈ 1..=x_max`. `x_max` must come from [`tile_prologue`].
-pub fn tile_steady<T: Scalar, const VL: usize, K: Kernel3d<T>>(
-    g: &mut Grid3<T>,
+/// Phase 2 of a 3-D temporal tile, written once over [`Lanes`]: one
+/// vectorized pass per outer slab `x ∈ 1..=x_max`, with the `z`-west and
+/// centre vectors carried in registers and only the operands the kernel
+/// reads loaded. `x_max` must come from [`tile_prologue`].
+struct Steady3d<'a, T: Scalar, const VL: usize, K> {
+    a: &'a mut [T],
+    ny: usize,
+    nz: usize,
+    p: usize,
+    pl: usize,
+    bc: T,
+    kern: &'a K,
+    s: usize,
+    sc: &'a mut Scratch3d<T, VL>,
+    x_max: usize,
+}
+
+impl<T: Scalar, const VL: usize, K: Kernel3d<T>> LaneFn<T, VL> for Steady3d<'_, T, VL, K> {
+    type Output = ();
+
+    #[inline(always)]
+    fn call<L: Lanes<Elem = T, Mem = Pack<T, VL>>>(self) {
+        let Steady3d {
+            a,
+            ny,
+            nz,
+            p,
+            pl,
+            bc,
+            kern,
+            s,
+            sc,
+            x_max,
+        } = self;
+        steady::<L, T, VL, K>(a, ny, nz, p, pl, bc, kern, s, sc, x_max)
+    }
+}
+
+/// The loop of [`Steady3d`], taking its operands as parameters so the
+/// compiler knows they do not alias.
+#[inline(always)]
+// Justification: the operands are the steady state's own; bundling them again would hide which ones the loop touches.
+#[allow(clippy::too_many_arguments)]
+fn steady<L: Lanes<Elem = T, Mem = Pack<T, VL>>, T: Scalar, const VL: usize, K: Kernel3d<T>>(
+    a: &mut [T],
+    ny: usize,
+    nz: usize,
+    p: usize,
+    pl: usize,
+    bc: T,
     kern: &K,
     s: usize,
     sc: &mut Scratch3d<T, VL>,
     x_max: usize,
 ) {
-    let (ny, nz) = (g.ny(), g.nz());
-    let (p, pl) = (g.pitch(), g.plane());
-    let bc = g.boundary().value();
     let wz = nz + 2;
     let rlen = s + 2;
     let lp = |y: usize, z: usize| y * wz + z;
-    let a = g.data_mut();
-    let zero = Pack::<T, VL>::splat(T::ZERO);
+    let zero = L::splat(T::ZERO);
     for x in 1..=x_max {
         let im1 = (x - 1) % rlen;
         let i0 = x % rlen;
@@ -324,29 +377,44 @@ pub fn tile_steady<T: Scalar, const VL: usize, K: Kernel3d<T>>(
             let r0 = &sc.ring[i0];
             let rp1 = &sc.ring[ip1];
             for y in 1..=ny {
-                let mut o_z = Pack::splat(bc); // O(x, y, 0): z-boundary
+                let mut o_z = L::splat(bc); // O(x, y, 0): z-boundary
+                let mut zm = L::load(r0[lp(y, 0)]);
+                let mut m = L::load(r0[lp(y, 1)]);
                 for z in 1..=nz {
                     let idx = lp(y, z);
+                    let zp = L::load(r0[idx + 1]);
+                    let (xm, ym, new_xm, new_ym) = if K::IS_GS {
+                        (
+                            zero,
+                            zero,
+                            L::load(sc.o_prev[idx]),
+                            L::load(sc.o_cur[idx - wz]),
+                        )
+                    } else {
+                        (L::load(rm1[idx]), L::load(r0[idx - wz]), zero, zero)
+                    };
                     let nb = Nbhd3 {
-                        xm: rm1[idx],
-                        ym: r0[idx - wz],
-                        zm: r0[idx - 1],
-                        m: r0[idx],
-                        zp: r0[idx + 1],
-                        yp: r0[idx + wz],
-                        xp: rp1[idx],
-                        new_xm: if K::IS_GS { sc.o_prev[idx] } else { zero },
-                        new_ym: if K::IS_GS { sc.o_cur[idx - wz] } else { zero },
+                        xm,
+                        ym,
+                        zm,
+                        m,
+                        zp,
+                        yp: L::load(r0[idx + wz]),
+                        xp: L::load(rp1[idx]),
+                        new_xm,
+                        new_ym,
                         new_zm: o_z,
                     };
                     let o = kern.pack(nb);
                     a[x * pl + y * p + z] = o.top();
                     let bottom = a[(x + VL * s) * pl + y * p + z];
-                    wplane[idx] = o.shift_up_insert(bottom);
+                    wplane[idx] = o.shift_up_insert(bottom).store();
                     if K::IS_GS {
-                        sc.o_cur[idx] = o;
+                        sc.o_cur[idx] = o.store();
                         o_z = o;
                     }
+                    zm = m;
+                    m = zp;
                 }
             }
         }
@@ -367,7 +435,7 @@ pub fn tile_steady<T: Scalar, const VL: usize, K: Kernel3d<T>>(
 /// the tail slabs and finish every level scalar-wise up to slab `nx`.
 /// `x_max` must match the value [`tile_prologue`] returned, with the ring
 /// left behind by the steady state.
-pub fn tile_epilogue<T: Scalar, const VL: usize, K: Kernel3d<T>>(
+fn tile_epilogue<T: Scalar, const VL: usize, K: Kernel3d<T>>(
     g: &mut Grid3<T>,
     kern: &K,
     s: usize,
@@ -488,7 +556,7 @@ pub fn run<T: Scalar, const VL: usize, K: Kernel3d<T>>(
     let mut g = grid.clone();
     let mut sc = Scratch3d::<T, VL>::new(s, g.ny(), g.nz());
     for _ in 0..steps / VL {
-        tile::<T, VL, K>(&mut g, kern, s, &mut sc);
+        tile::<T, VL, K>(Engine::Portable, &mut g, kern, s, &mut sc);
     }
     for _ in 0..steps % VL {
         let (mut pa, mut pb) = (

@@ -2,9 +2,10 @@
 //! [`crate::t1d_band`] with whole `(y, z)` planes as the unit of the
 //! outer dimension.
 
+use crate::engine::Engine;
 use crate::kernels::{Kernel3d, Nbhd3};
 use tempora_grid::Grid3;
-use tempora_simd::Pack;
+use tempora_simd::{LaneFn, Lanes, Pack};
 
 /// Scalar in-place 3-D Gauss-Seidel update of one slab `x`.
 #[inline]
@@ -84,8 +85,10 @@ impl<const VL: usize> BandScratch3d<VL> {
 }
 
 /// One temporally vectorized skewed band (3-D Gauss-Seidel),
-/// bit-identical to [`band_scalar_gs3d`]; edge/narrow tiles fall back.
+/// bit-identical to [`band_scalar_gs3d`], with the steady state on
+/// `engine`; edge/narrow tiles fall back.
 pub fn band_temporal_gs3d<const VL: usize, K: Kernel3d<f64>>(
+    engine: Engine,
     g: &mut Grid3<f64>,
     xl: usize,
     xr: usize,
@@ -102,7 +105,21 @@ pub fn band_temporal_gs3d<const VL: usize, K: Kernel3d<f64>>(
         return;
     }
     let (x_start, x_max) = band_prologue3d::<VL, K>(g, xl, xr, s, kern, sc);
-    band_steady3d::<VL, K>(g, s, kern, sc, x_start, x_max);
+    let (ny, nz, p, pl) = (g.ny(), g.nz(), g.pitch(), g.plane());
+    let bc = g.boundary().value();
+    engine.run(BandSteady3d {
+        a: g.data_mut(),
+        ny,
+        nz,
+        p,
+        pl,
+        bc,
+        kern,
+        s,
+        sc,
+        x_start,
+        x_max,
+    });
     band_epilogue3d::<VL, K>(g, xr, s, kern, sc, x_max);
 }
 
@@ -110,7 +127,7 @@ pub fn band_temporal_gs3d<const VL: usize, K: Kernel3d<f64>>(
 /// ring planes and the previous output plane `O(x_start-1, ·, ·)` in
 /// `sc.o_prev` (with `sc.o_cur` reset to the boundary value — its row 0
 /// feeds the first plane's `y = 1` newest-north reads). Returns
-/// `(x_start, x_max)`. Shared by the portable and AVX2 steady states.
+/// `(x_start, x_max)`.
 fn band_prologue3d<const VL: usize, K: Kernel3d<f64>>(
     g: &mut Grid3<f64>,
     xl: usize,
@@ -187,23 +204,67 @@ fn band_prologue3d<const VL: usize, K: Kernel3d<f64>>(
     (x_start, x_max)
 }
 
-/// Portable steady state of a 3-D temporal band.
-fn band_steady3d<const VL: usize, K: Kernel3d<f64>>(
-    g: &mut Grid3<f64>,
+/// Steady state of a 3-D temporal band, written once over [`Lanes`]
+/// (identical algebra to the rectangular engine's inner loop, with the
+/// centre vector carried in a register).
+struct BandSteady3d<'a, const VL: usize, K> {
+    a: &'a mut [f64],
+    ny: usize,
+    nz: usize,
+    p: usize,
+    pl: usize,
+    bc: f64,
+    kern: &'a K,
     s: usize,
+    sc: &'a mut BandScratch3d<VL>,
+    x_start: usize,
+    x_max: usize,
+}
+
+impl<const VL: usize, K: Kernel3d<f64>> LaneFn<f64, VL> for BandSteady3d<'_, VL, K> {
+    type Output = ();
+
+    #[inline(always)]
+    fn call<L: Lanes<Elem = f64, Mem = Pack<f64, VL>>>(self) {
+        let BandSteady3d {
+            a,
+            ny,
+            nz,
+            p,
+            pl,
+            bc,
+            kern,
+            s,
+            sc,
+            x_start,
+            x_max,
+        } = self;
+        band_steady::<L, VL, K>(a, ny, nz, p, pl, bc, kern, s, sc, x_start, x_max)
+    }
+}
+
+/// The loop of [`BandSteady3d`], taking its operands as parameters so the
+/// compiler knows they do not alias.
+#[inline(always)]
+// Justification: the operands are the steady state's own; bundling them again would hide which ones the loop touches.
+#[allow(clippy::too_many_arguments)]
+fn band_steady<L: Lanes<Elem = f64, Mem = Pack<f64, VL>>, const VL: usize, K: Kernel3d<f64>>(
+    a: &mut [f64],
+    ny: usize,
+    nz: usize,
+    p: usize,
+    pl: usize,
+    bc: f64,
     kern: &K,
+    s: usize,
     sc: &mut BandScratch3d<VL>,
     x_start: usize,
     x_max: usize,
 ) {
-    let (ny, nz) = (g.ny(), g.nz());
-    let (p, pl) = (g.pitch(), g.plane());
-    let bc = g.boundary().value();
-    let a = g.data_mut();
     let wz = nz + 2;
     let lp = |y: usize, z: usize| y * wz + z;
     let rlen = s + 1;
-    let zero = Pack::<f64, VL>::splat(0.0);
+    let zero = L::splat(0.0);
     for x in x_start..=x_max {
         let i0 = x % rlen;
         let ip1 = (x + 1) % rlen;
@@ -213,27 +274,30 @@ fn band_steady3d<const VL: usize, K: Kernel3d<f64>>(
             let r0 = &sc.ring[i0];
             let rp1 = &sc.ring[ip1];
             for y in 1..=ny {
-                let mut o_z = Pack::splat(bc);
+                let mut o_z = L::splat(bc); // O(x, y, 0): z-boundary
+                let mut m = L::load(r0[lp(y, 1)]);
                 for z in 1..=nz {
                     let idx = lp(y, z);
+                    let zp = L::load(r0[idx + 1]);
                     let nb = Nbhd3 {
                         xm: zero,
                         ym: zero,
                         zm: zero,
-                        m: r0[idx],
-                        zp: r0[idx + 1],
-                        yp: r0[idx + wz],
-                        xp: rp1[idx],
-                        new_xm: sc.o_prev[idx],
-                        new_ym: sc.o_cur[idx - wz],
+                        m,
+                        zp,
+                        yp: L::load(r0[idx + wz]),
+                        xp: L::load(rp1[idx]),
+                        new_xm: L::load(sc.o_prev[idx]),
+                        new_ym: L::load(sc.o_cur[idx - wz]),
                         new_zm: o_z,
                     };
                     let o = kern.pack(nb);
                     a[x * pl + y * p + z] = o.top();
                     let bottom = a[(x + VL * s) * pl + y * p + z];
-                    wplane[idx] = o.shift_up_insert(bottom);
-                    sc.o_cur[idx] = o;
+                    wplane[idx] = o.shift_up_insert(bottom).store();
+                    sc.o_cur[idx] = o.store();
                     o_z = o;
+                    m = zp;
                 }
             }
             for z in 0..wz {
@@ -297,158 +361,6 @@ fn band_epilogue3d<const VL: usize, K: Kernel3d<f64>>(
     }
 }
 
-/// One temporally vectorized skewed band (3-D Gauss-Seidel) with the
-/// hand-scheduled AVX2 steady state — the same scheduling
-/// (`vfmadd231pd`, `vpermpd`, `vblendpd`) as `crate::t3d_avx2`, with newest operands
-/// from the previous output plane (`x-1`), the output plane being filled
-/// (`y-1`) and the previous output register (`z-1`), exactly as in the
-/// portable steady state (§3.4). Prologue/epilogue are shared with
-/// [`band_temporal_gs3d`], so results stay bit-identical to it and to
-/// [`band_scalar_gs3d`]; edge or narrow tiles fall back to the scalar
-/// band. Panics without AVX2+FMA.
-#[cfg(target_arch = "x86_64")]
-pub fn band_temporal_gs3d_avx2(
-    g: &mut Grid3<f64>,
-    xl: usize,
-    xr: usize,
-    s: usize,
-    kern: &crate::kernels::GsKern3d,
-    sc: &mut BandScratch3d<4>,
-) {
-    use crate::kernels::GsKern3d;
-    const VL: usize = 4;
-    assert!(
-        tempora_simd::arch::avx2_available(),
-        "AVX2+FMA not available on this CPU"
-    );
-    assert!(
-        s >= GsKern3d::MIN_STRIDE,
-        "stride {s} illegal for this kernel"
-    );
-    let (nx, ny, nz) = (g.nx(), g.ny(), g.nz());
-    assert_eq!((sc.ny, sc.nz), (ny, nz), "scratch shape mismatch");
-    if !crate::t1d_band::vector_band_shape::<VL>(xl, xr, nx, s) {
-        band_scalar_gs3d(g, xl, xr, VL, kern);
-        return;
-    }
-    let (x_start, x_max) = band_prologue3d::<VL, GsKern3d>(g, xl, xr, s, kern, sc);
-    // SAFETY: availability asserted above.
-    unsafe { imp::band_steady_gs3d_avx2(g, s, kern, sc, x_start, x_max) };
-    band_epilogue3d::<VL, GsKern3d>(g, xr, s, kern, sc, x_max);
-}
-
-#[cfg(target_arch = "x86_64")]
-mod imp {
-    use super::{BandScratch3d, Grid3, Pack};
-    use crate::kernels::GsKern3d;
-    use tempora_simd::arch::avx2;
-
-    /// The AVX2 steady state of one skewed 3-D Gauss-Seidel band:
-    /// identical algebra and iteration order to
-    /// [`super::band_steady3d`].
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2+FMA are available
-    /// (`tempora_simd::arch::avx2_available()`).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn band_steady_gs3d_avx2(
-        g: &mut Grid3<f64>,
-        s: usize,
-        kern: &GsKern3d,
-        sc: &mut BandScratch3d<4>,
-        x_start: usize,
-        x_max: usize,
-    ) {
-        const VL: usize = 4;
-        let (ny, nz) = (g.ny(), g.nz());
-        let (p, pl) = (g.pitch(), g.plane());
-        let bc = g.boundary().value();
-        let a = g.data_mut();
-        let wz = nz + 2;
-        let lp = |y: usize, z: usize| y * wz + z;
-        let rlen = s + 1;
-        let cxm = avx2::splat(kern.0.cxm);
-        let cym = avx2::splat(kern.0.cym);
-        let czm = avx2::splat(kern.0.czm);
-        let cc = avx2::splat(kern.0.cc);
-        let czp = avx2::splat(kern.0.czp);
-        let cyp = avx2::splat(kern.0.cyp);
-        let cxp = avx2::splat(kern.0.cxp);
-        // SAFETY: every unsafe op in the band steady-state loop is an
-        // `arch::avx2` vocabulary call whose sole precondition is
-        // AVX2/FMA availability — discharged by this fn's own
-        // `#[target_feature(enable = "avx2,fma")]` caller contract. All
-        // grid and ring accesses use checked slice indexing; the deepest
-        // read `a[(x_max + VL·s)·pl + …]` is in bounds because the band
-        // shape check verified `x_max + VL·s ≤ nx + 1` before dispatch.
-        unsafe {
-            for x in x_start..=x_max {
-                let i0 = x % rlen;
-                let ip1 = (x + 1) % rlen;
-                let ips = (x + s) % rlen;
-                let mut wplane = core::mem::take(&mut sc.ring[ips]);
-                {
-                    let r0 = &sc.ring[i0];
-                    let rp1 = &sc.ring[ip1];
-                    for y in 1..=ny {
-                        let mut o_z = avx2::splat(bc); // O(x, y, 0): z-boundary
-                        let mut m = avx2::from_pack(r0[lp(y, 1)]);
-                        for z in 1..=nz {
-                            let idx = lp(y, z);
-                            let zp = avx2::from_pack(r0[idx + 1]);
-                            let yp = avx2::from_pack(r0[idx + wz]);
-                            let xp = avx2::from_pack(rp1[idx]);
-                            let new_xm = avx2::from_pack(sc.o_prev[idx]);
-                            let new_ym = avx2::from_pack(sc.o_cur[idx - wz]);
-                            // The same fused tree as Gs3dCoeffs::apply.
-                            let o = avx2::fmadd(
-                                new_xm,
-                                cxm,
-                                avx2::fmadd(
-                                    new_ym,
-                                    cym,
-                                    avx2::fmadd(
-                                        o_z,
-                                        czm,
-                                        avx2::fmadd(
-                                            m,
-                                            cc,
-                                            avx2::fmadd(
-                                                zp,
-                                                czp,
-                                                avx2::fmadd(yp, cyp, avx2::mul(xp, cxp)),
-                                            ),
-                                        ),
-                                    ),
-                                ),
-                            );
-                            a[x * pl + y * p + z] = avx2::extract_top(o);
-                            let bottom = a[(x + VL * s) * pl + y * p + z];
-                            wplane[idx] = avx2::to_pack(avx2::shift_up_insert(o, bottom));
-                            sc.o_cur[idx] = avx2::to_pack(o);
-                            o_z = o;
-                            m = zp;
-                        }
-                    }
-                    for z in 0..wz {
-                        wplane[lp(0, z)] = Pack::splat(bc);
-                        wplane[lp(ny + 1, z)] = Pack::splat(bc);
-                    }
-                    for y in 1..=ny {
-                        wplane[lp(y, 0)] = Pack::splat(bc);
-                        wplane[lp(y, nz + 1)] = Pack::splat(bc);
-                    }
-                }
-                sc.ring[ips] = wplane;
-                core::mem::swap(&mut sc.o_prev, &mut sc.o_cur);
-                for z in 0..wz {
-                    sc.o_cur[lp(0, z)] = Pack::splat(bc);
-                }
-            }
-        }
-    }
-}
-
 /// Decompose one band of height `VL` into skewed slab-blocks and execute
 /// them in ascending order.
 pub fn band_sweep_gs3d<const VL: usize, K: Kernel3d<f64>>(
@@ -457,7 +369,7 @@ pub fn band_sweep_gs3d<const VL: usize, K: Kernel3d<f64>>(
     s: usize,
     kern: &K,
     sc: &mut BandScratch3d<VL>,
-    temporal: bool,
+    temporal: Option<Engine>,
 ) {
     let nx = g.nx();
     let span = nx + VL - 1;
@@ -465,10 +377,9 @@ pub fn band_sweep_gs3d<const VL: usize, K: Kernel3d<f64>>(
     for i in 0..nblocks {
         let xl = i * block + 1;
         let xr = ((i + 1) * block).min(span);
-        if temporal {
-            band_temporal_gs3d::<VL, K>(g, xl, xr, s, kern, sc);
-        } else {
-            band_scalar_gs3d(g, xl, xr, VL, kern);
+        match temporal {
+            Some(engine) => band_temporal_gs3d::<VL, K>(engine, g, xl, xr, s, kern, sc),
+            None => band_scalar_gs3d(g, xl, xr, VL, kern),
         }
     }
 }
@@ -487,7 +398,7 @@ mod tests {
         steps: usize,
         block: usize,
         s: usize,
-        temporal: bool,
+        temporal: Option<Engine>,
     ) -> Grid3<f64> {
         const VL: usize = 4;
         let mut g = g.clone();
@@ -510,7 +421,7 @@ mod tests {
         for &(nx, block) in &[(20usize, 6usize), (33, 11), (16, 16)] {
             let mut g = Grid3::new(nx, 5, 6, 1, Boundary::Dirichlet(0.3));
             fill_random_3d(&mut g, nx as u64, -1.0, 1.0);
-            let ours = run_banded(&g, &kern, 8, block, 2, false);
+            let ours = run_banded(&g, &kern, 8, block, 2, None);
             let gold = reference::gs3d(&g, c, 8);
             assert!(
                 ours.interior_eq(&gold),
@@ -528,7 +439,7 @@ mod tests {
             let mut g = Grid3::new(nx, 5, 7, 1, Boundary::Dirichlet(-0.1));
             fill_random_3d(&mut g, (nx + s) as u64, -1.0, 1.0);
             for steps in [4usize, 8] {
-                let ours = run_banded(&g, &kern, steps, block, s, true);
+                let ours = run_banded(&g, &kern, steps, block, s, Some(Engine::Portable));
                 let gold = reference::gs3d(&g, c, steps);
                 assert!(
                     ours.interior_eq(&gold),
@@ -540,7 +451,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(target_arch = "x86_64")]
     fn avx2_band_matches_scalar_oracle_bitwise() {
         if !tempora_simd::arch::avx2_available() {
             return;
@@ -563,7 +473,15 @@ mod tests {
                     for i in 0..span.div_ceil(block) {
                         let xl = i * block + 1;
                         let xr = ((i + 1) * block).min(span);
-                        band_temporal_gs3d_avx2(&mut ours, xl, xr, s, &kern, &mut sc);
+                        band_temporal_gs3d::<4, _>(
+                            Engine::Avx2,
+                            &mut ours,
+                            xl,
+                            xr,
+                            s,
+                            &kern,
+                            &mut sc,
+                        );
                     }
                 }
                 for _ in 0..steps % VL {
@@ -587,7 +505,7 @@ mod tests {
         let kern = GsKern3d(c);
         let mut g = Grid3::new(30, 4, 4, 1, Boundary::Dirichlet(0.0));
         fill_random_3d(&mut g, 7, -1.0, 1.0);
-        let ours = run_banded(&g, &kern, 8, 8, 2, true);
+        let ours = run_banded(&g, &kern, 8, 8, 2, Some(Engine::Portable));
         let gold = reference::gs3d(&g, c, 8);
         assert!(ours.interior_eq(&gold), "{:?}", ours.first_diff(&gold));
     }

@@ -13,9 +13,9 @@
 
 use crate::{PlanError, State};
 use tempora_baseline::{dlt, reorg};
-use tempora_core::engine::{Avx2Exec1d, Avx2Exec2d, Avx2Exec3d};
+use tempora_core::engine::Engine;
 use tempora_core::kernels::{Kernel1d, Kernel2d, Kernel3d};
-use tempora_core::{lcs, lcs_avx2, t1d, t2d, t3d};
+use tempora_core::{lcs, t1d, t2d, t3d};
 use tempora_grid::{Grid1, Grid2, Grid3};
 use tempora_parallel::Pool;
 use tempora_simd::Scalar;
@@ -93,27 +93,25 @@ impl StateGrid for Grid3<f64> {
 
 /// Sequential temporal 1-D engine (portable or AVX2 steady state, fixed
 /// at plan time), scratch reused across runs.
-pub(crate) struct Temporal1d<K: Avx2Exec1d> {
+pub(crate) struct Temporal1d<K: Kernel1d> {
     pub kern: K,
     pub steps: usize,
     pub s: usize,
-    pub avx2: bool,
+    pub engine: Engine,
     pub counted: bool,
     pub scratch: t1d::Scratch1d<4>,
 }
 
-impl<K: Avx2Exec1d + Send> Exec for Temporal1d<K> {
+impl<K: Kernel1d + Send> Exec for Temporal1d<K> {
     fn run(&mut self, state: &mut State, _pool: &Pool) -> Result<(), PlanError> {
         let g = <Grid1<f64> as StateGrid>::from_state(state)?;
         let n = g.n();
         let a = g.data_mut();
         for _ in 0..self.steps / 4 {
-            if self.avx2 {
-                self.kern.tile_avx2(a, n, self.s, &mut self.scratch);
-            } else if self.counted {
-                t1d::tile::<4, true, K>(a, n, &self.kern, self.s, &mut self.scratch);
+            if self.counted {
+                t1d::tile::<4, true, K>(self.engine, a, n, &self.kern, self.s, &mut self.scratch);
             } else {
-                t1d::tile::<4, false, K>(a, n, &self.kern, self.s, &mut self.scratch);
+                t1d::tile::<4, false, K>(self.engine, a, n, &self.kern, self.s, &mut self.scratch);
             }
         }
         for _ in 0..self.steps % 4 {
@@ -143,13 +141,13 @@ impl<K: Kernel1d + Send> Exec for Scalar1d<K> {
 
 /// Sequential multi-load (spatially vectorized) 1-D sweep, ping-ponging a
 /// plan-owned buffer.
-pub(crate) struct Multiload1d<K: Avx2Exec1d> {
+pub(crate) struct Multiload1d<K: Kernel1d> {
     pub kern: K,
     pub steps: usize,
     pub tmp: Vec<f64>,
 }
 
-impl<K: Avx2Exec1d + Send> Exec for Multiload1d<K> {
+impl<K: Kernel1d + Send> Exec for Multiload1d<K> {
     fn run(&mut self, state: &mut State, _pool: &Pool) -> Result<(), PlanError> {
         let g = <Grid1<f64> as StateGrid>::from_state(state)?;
         let n = g.n();
@@ -211,31 +209,26 @@ impl Exec for Dlt1d {
 // Sequential 2-D
 // ---------------------------------------------------------------------
 
-/// Sequential temporal 2-D engine (portable or AVX2 steady state, fixed
-/// at plan time), scratch and remainder rows reused across runs. Both
-/// steady states run at the plan's own lane count (4 f64 lanes, 8 i32
-/// lanes for Life), so they share one scratch.
-pub(crate) struct Temporal2d<T: Scalar, const VL: usize, K: Avx2Exec2d<T>> {
+/// Sequential temporal 2-D engine (portable or AVX2 instantiation of the
+/// steady state, fixed at plan time), scratch and remainder rows reused
+/// across runs.
+pub(crate) struct Temporal2d<T: Scalar, const VL: usize, K: Kernel2d<T>> {
     pub kern: K,
     pub steps: usize,
     pub s: usize,
-    pub avx2: bool,
+    pub engine: Engine,
     pub scratch: t2d::Scratch2d<T, VL>,
     pub rem_rows: (Vec<T>, Vec<T>),
 }
 
-impl<T: Scalar, const VL: usize, K: Avx2Exec2d<T> + Send> Exec for Temporal2d<T, VL, K>
+impl<T: Scalar, const VL: usize, K: Kernel2d<T> + Send> Exec for Temporal2d<T, VL, K>
 where
     Grid2<T>: StateGrid,
 {
     fn run(&mut self, state: &mut State, _pool: &Pool) -> Result<(), PlanError> {
         let g = <Grid2<T> as StateGrid>::from_state(state)?;
         for _ in 0..self.steps / VL {
-            if self.avx2 {
-                self.kern.tile_avx2(g, self.s, &mut self.scratch);
-            } else {
-                t2d::tile::<T, VL, K>(g, &self.kern, self.s, &mut self.scratch);
-            }
+            t2d::tile::<T, VL, K>(self.engine, g, &self.kern, self.s, &mut self.scratch);
         }
         let rem = self.steps % VL;
         if rem > 0 {
@@ -301,26 +294,23 @@ where
 // Sequential 3-D
 // ---------------------------------------------------------------------
 
-/// Sequential temporal 3-D engine (portable and AVX2 both run at
-/// `VL = 4`), scratch and remainder planes reused across runs.
-pub(crate) struct Temporal3d<K: Avx2Exec3d> {
+/// Sequential temporal 3-D engine (portable or AVX2 instantiation of the
+/// steady state, fixed at plan time), scratch and remainder planes reused
+/// across runs.
+pub(crate) struct Temporal3d<K: Kernel3d<f64>> {
     pub kern: K,
     pub steps: usize,
     pub s: usize,
-    pub avx2: bool,
+    pub engine: Engine,
     pub scratch: t3d::Scratch3d<f64, 4>,
     pub rem_planes: (Vec<f64>, Vec<f64>),
 }
 
-impl<K: Avx2Exec3d + Send> Exec for Temporal3d<K> {
+impl<K: Kernel3d<f64> + Send> Exec for Temporal3d<K> {
     fn run(&mut self, state: &mut State, _pool: &Pool) -> Result<(), PlanError> {
         let g = <Grid3<f64> as StateGrid>::from_state(state)?;
         for _ in 0..self.steps / 4 {
-            if self.avx2 {
-                self.kern.tile_avx2(g, self.s, &mut self.scratch);
-            } else {
-                t3d::tile::<f64, 4, K>(g, &self.kern, self.s, &mut self.scratch);
-            }
+            t3d::tile::<f64, 4, K>(self.engine, g, &self.kern, self.s, &mut self.scratch);
         }
         let rem = self.steps % 4;
         if rem > 0 {
@@ -386,7 +376,7 @@ impl<K: Kernel3d<f64> + Send> Exec for Multiload3d<K> {
 pub(crate) struct SeqLcs {
     pub s: usize,
     pub temporal: bool,
-    pub avx2: bool,
+    pub engine: Engine,
     pub row: Vec<i32>,
     pub scratch: lcs::ScratchLcs<8>,
 }
@@ -408,13 +398,7 @@ impl Exec for SeqLcs {
             let tiles = la / VL;
             for t in 0..tiles {
                 let a_tile = &l.a[t * VL..(t + 1) * VL];
-                match self.avx2 {
-                    #[cfg(target_arch = "x86_64")]
-                    true => lcs_avx2::tile_avx2(row, a_tile, &l.b, self.s, &mut self.scratch),
-                    #[cfg(not(target_arch = "x86_64"))]
-                    true => unreachable!("AVX2 resolved on a non-x86-64 target"),
-                    false => lcs::tile::<VL>(row, a_tile, &l.b, self.s, &mut self.scratch),
-                }
+                lcs::tile::<VL>(self.engine, row, a_tile, &l.b, self.s, &mut self.scratch);
             }
             for &ca in &l.a[tiles * VL..] {
                 lcs::scalar_row_step(row, ca, &l.b);
@@ -433,9 +417,9 @@ impl Exec for SeqLcs {
 // Tiled executors (thin adapters over the tiling workspaces)
 // ---------------------------------------------------------------------
 
-pub(crate) struct GhostExec1d<K: Avx2Exec1d>(pub GhostJacobi1d<K>);
+pub(crate) struct GhostExec1d<K: Kernel1d>(pub GhostJacobi1d<K>);
 
-impl<K: Avx2Exec1d + Send> Exec for GhostExec1d<K> {
+impl<K: Kernel1d + Send> Exec for GhostExec1d<K> {
     fn run(&mut self, state: &mut State, pool: &Pool) -> Result<(), PlanError> {
         self.0
             .advance(<Grid1<f64> as StateGrid>::from_state(state)?, pool);
@@ -447,11 +431,11 @@ impl<K: Avx2Exec1d + Send> Exec for GhostExec1d<K> {
     }
 }
 
-pub(crate) struct GhostExec2d<T: Scalar, const VL: usize, K: Avx2Exec2d<T>>(
+pub(crate) struct GhostExec2d<T: Scalar, const VL: usize, K: Kernel2d<T>>(
     pub GhostJacobi2d<T, VL, K>,
 );
 
-impl<T: Scalar, const VL: usize, K: Avx2Exec2d<T> + Send> Exec for GhostExec2d<T, VL, K>
+impl<T: Scalar, const VL: usize, K: Kernel2d<T> + Send> Exec for GhostExec2d<T, VL, K>
 where
     Grid2<T>: StateGrid,
 {
@@ -466,9 +450,9 @@ where
     }
 }
 
-pub(crate) struct GhostExec3d<K: Avx2Exec3d>(pub GhostJacobi3d<K>);
+pub(crate) struct GhostExec3d<K: Kernel3d<f64>>(pub GhostJacobi3d<K>);
 
-impl<K: Avx2Exec3d + Send> Exec for GhostExec3d<K> {
+impl<K: Kernel3d<f64> + Send> Exec for GhostExec3d<K> {
     fn run(&mut self, state: &mut State, pool: &Pool) -> Result<(), PlanError> {
         self.0
             .advance(<Grid3<f64> as StateGrid>::from_state(state)?, pool);
@@ -480,9 +464,9 @@ impl<K: Avx2Exec3d + Send> Exec for GhostExec3d<K> {
     }
 }
 
-pub(crate) struct SkewExec1d<K: Avx2Exec1d>(pub SkewGs1d<K>);
+pub(crate) struct SkewExec1d<K: Kernel1d>(pub SkewGs1d<K>);
 
-impl<K: Avx2Exec1d + Send> Exec for SkewExec1d<K> {
+impl<K: Kernel1d + Send> Exec for SkewExec1d<K> {
     fn run(&mut self, state: &mut State, pool: &Pool) -> Result<(), PlanError> {
         self.0
             .advance(<Grid1<f64> as StateGrid>::from_state(state)?, pool);
@@ -490,9 +474,9 @@ impl<K: Avx2Exec1d + Send> Exec for SkewExec1d<K> {
     }
 }
 
-pub(crate) struct SkewExec2d<K: Avx2Exec2d<f64>>(pub SkewGs2d<K>);
+pub(crate) struct SkewExec2d<K: Kernel2d<f64>>(pub SkewGs2d<K>);
 
-impl<K: Avx2Exec2d<f64> + Send> Exec for SkewExec2d<K> {
+impl<K: Kernel2d<f64> + Send> Exec for SkewExec2d<K> {
     fn run(&mut self, state: &mut State, pool: &Pool) -> Result<(), PlanError> {
         self.0
             .advance(<Grid2<f64> as StateGrid>::from_state(state)?, pool);
@@ -504,9 +488,9 @@ impl<K: Avx2Exec2d<f64> + Send> Exec for SkewExec2d<K> {
     }
 }
 
-pub(crate) struct SkewExec3d<K: Avx2Exec3d>(pub SkewGs3d<K>);
+pub(crate) struct SkewExec3d<K: Kernel3d<f64>>(pub SkewGs3d<K>);
 
-impl<K: Avx2Exec3d + Send> Exec for SkewExec3d<K> {
+impl<K: Kernel3d<f64> + Send> Exec for SkewExec3d<K> {
     fn run(&mut self, state: &mut State, pool: &Pool) -> Result<(), PlanError> {
         self.0
             .advance(<Grid3<f64> as StateGrid>::from_state(state)?, pool);

@@ -7,14 +7,12 @@ use crate::exec::{
     Temporal1d, Temporal2d, Temporal3d,
 };
 use crate::{PlanError, Problem, State};
-use tempora_core::engine::{
-    shape_has_vector_tiles, Avx2Exec1d, Avx2Exec2d, Avx2Exec3d, Engine, Select,
-};
+use tempora_core::engine::{Engine, Select};
 use tempora_core::kernels::{
     BoxKern2d, GsKern1d, GsKern2d, GsKern3d, JacobiKern1d, JacobiKern2d, JacobiKern3d, Kernel1d,
     Kernel2d, Kernel3d, LifeKern2d,
 };
-use tempora_core::{lcs, lcs_avx2, t1d, t2d, t3d};
+use tempora_core::{lcs, t1d, t2d, t3d};
 use tempora_grid::{Boundary, Grid2, Grid3};
 use tempora_parallel::{Pool, PoolConfig, WaveSchedule};
 use tempora_simd::count;
@@ -562,7 +560,7 @@ impl PlanBuilder {
 
     // Justification: the boxed executor closure type is spelled out at each plan_* builder; a type alias would not make it clearer.
     #[allow(clippy::type_complexity)]
-    fn plan_1d<K: Avx2Exec1d + Copy + Send + 'static>(
+    fn plan_1d<K: Kernel1d + Copy + Send + 'static>(
         &self,
         kern: K,
         n: usize,
@@ -572,14 +570,13 @@ impl PlanBuilder {
         match self.tiling {
             Tiling::None => match self.method {
                 Method::Temporal => {
-                    let has = K::avx2_tile(s) && shape_has_vector_tiles(4, n, steps, s);
-                    let engine = self.select.resolve(has);
+                    let engine = self.select.resolve_shape::<f64, 4>(n, steps, s);
                     Ok((
                         Box::new(Temporal1d {
                             kern,
                             steps,
                             s,
-                            avx2: engine == Engine::Avx2,
+                            engine,
                             counted: self.count_reorg,
                             scratch: t1d::Scratch1d::new(s),
                         }),
@@ -635,7 +632,7 @@ impl PlanBuilder {
 
     // Justification: the boxed executor closure type is spelled out at each plan_* builder; a type alias would not make it clearer.
     #[allow(clippy::type_complexity)]
-    fn plan_2d<T: Scalar, const VL: usize, K: Avx2Exec2d<T> + Copy + Send + 'static>(
+    fn plan_2d<T: Scalar, const VL: usize, K: Kernel2d<T> + Copy + Send + 'static>(
         &self,
         kern: K,
         nx: usize,
@@ -651,14 +648,13 @@ impl PlanBuilder {
         match self.tiling {
             Tiling::None => match self.method {
                 Method::Temporal => {
-                    let has = K::avx2_tile(VL, s) && shape_has_vector_tiles(VL, nx, steps, s);
-                    let engine = self.select.resolve(has);
+                    let engine = self.select.resolve_shape::<T, VL>(nx, steps, s);
                     Ok((
                         Box::new(Temporal2d::<T, VL, K> {
                             kern,
                             steps,
                             s,
-                            avx2: engine == Engine::Avx2,
+                            engine,
                             scratch: t2d::Scratch2d::new(s, ny),
                             rem_rows: rows(),
                         }),
@@ -720,7 +716,7 @@ impl PlanBuilder {
 
     // Justification: boxed executor closure type plus the 3-D tile geometry; neither an alias nor a params struct would clarify.
     #[allow(clippy::type_complexity, clippy::too_many_arguments)]
-    fn plan_3d<K: Avx2Exec3d + Copy + Send + 'static>(
+    fn plan_3d<K: Kernel3d<f64> + Copy + Send + 'static>(
         &self,
         kern: K,
         nx: usize,
@@ -737,14 +733,13 @@ impl PlanBuilder {
         match self.tiling {
             Tiling::None => match self.method {
                 Method::Temporal => {
-                    let has = K::avx2_tile(s) && shape_has_vector_tiles(4, nx, steps, s);
-                    let engine = self.select.resolve(has);
+                    let engine = self.select.resolve_shape::<f64, 4>(nx, steps, s);
                     Ok((
                         Box::new(Temporal3d {
                             kern,
                             steps,
                             s,
-                            avx2: engine == Engine::Avx2,
+                            engine,
                             scratch: t3d::Scratch3d::new(s, ny, nz),
                             rem_planes: planes(),
                         }),
@@ -831,15 +826,13 @@ impl PlanBuilder {
                 // Whole-row tiles: the AVX2 steady state needs one full
                 // 8-level A tile and a row segment hosting the vector
                 // schedule; degenerate shapes honestly resolve portable.
-                let engine = temporal.then(|| {
-                    self.select
-                        .resolve(lcs_avx2::seq_has_vector_tiles(la, lb, s))
-                });
+                let engine =
+                    temporal.then(|| self.select.resolve(lcs::seq_has_vector_tiles(la, lb, s)));
                 Ok((
                     Box::new(SeqLcs {
                         s,
                         temporal,
-                        avx2: engine == Some(Engine::Avx2),
+                        engine: engine.unwrap_or(Engine::Portable),
                         row: vec![0; lb + 1],
                         scratch: lcs::ScratchLcs::new(s),
                     }),

@@ -9,9 +9,19 @@
 //! the instruction mix the paper reasons about, and so the repository
 //! demonstrates the `std::arch` path end to end.
 //!
+//! The register twins of `Pack<f64, 4>` and `Pack<i32, 8>` implement
+//! [`Lanes`](crate::Lanes), so every temporal steady state — written once as a
+//! [`LaneFn`] — is instantiated on them by [`run_avx2`]. They are private:
+//! a value of either can only be created inside a [`run_avx2`] call,
+//! behind the capability probe its contract requires.
+//!
 //! Everything here is equivalence-tested against the portable model (see
 //! the tests at the bottom; they run on any x86-64 host with AVX2+FMA and
 //! are skipped elsewhere).
+
+use crate::lane::LaneFn;
+use crate::pack::Scalar;
+use core::any::TypeId;
 
 /// Returns true when the running CPU supports the AVX2+FMA fast paths.
 ///
@@ -32,11 +42,60 @@ pub fn avx2_available() -> bool {
     }
 }
 
+/// True when `Pack<T, N>` has an AVX2 register twin — `f64×4` in a
+/// `__m256d` or `i32×8` in a `__m256i` — and the running CPU supports
+/// AVX2+FMA ([`avx2_available`]). This is the capability
+/// [`run_avx2`] requires.
+pub fn avx2_lanes<T: Scalar, const N: usize>() -> bool {
+    has_avx2_twin::<T, N>() && avx2_available()
+}
+
+fn has_avx2_twin<T: Scalar, const N: usize>() -> bool {
+    (is::<T, f64>() && N == 4) || (is::<T, i32>() && N == 8)
+}
+
+/// True when `A` and `B` are the same type.
+fn is<A: 'static, B: 'static>() -> bool {
+    TypeId::of::<A>() == TypeId::of::<B>()
+}
+
+/// Run `f` with the AVX2 register twin of `Pack<T, N>` as its lane
+/// implementation, compiled with `avx2,fma` enabled: the one
+/// `#[target_feature]` boundary every AVX2 steady state crosses. The
+/// instantiation is the same source as the portable `f.call::<Pack<T, N>>()`.
+///
+/// # Safety
+/// [`avx2_lanes::<T, N>()`](avx2_lanes) must be true; it includes the
+/// [`avx2_available`] probe.
+///
+/// # Panics
+/// Panics if `Pack<T, N>` has no AVX2 twin.
+pub unsafe fn run_avx2<T: Scalar, const N: usize, F: LaneFn<T, N>>(f: F) -> F::Output {
+    assert!(
+        has_avx2_twin::<T, N>(),
+        "no AVX2 register holds {N} lanes of this element type"
+    );
+    #[cfg(target_arch = "x86_64")]
+    {
+        // SAFETY: the caller guarantees `avx2_lanes::<T, N>()`, which
+        // includes the AVX2+FMA probe `avx2::run` requires.
+        unsafe { avx2::run(f) }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = f;
+        unreachable!("avx2_lanes() is false off x86-64")
+    }
+}
+
 /// AVX2 `__m256d` kernels (x86-64 only).
 #[cfg(target_arch = "x86_64")]
 pub mod avx2 {
-    use crate::pack::F64x4;
+    use super::is;
+    use crate::lane::{LaneFn, Lanes};
+    use crate::pack::{F64x4, Pack, Scalar};
     use core::arch::x86_64::*;
+    use core::marker::PhantomData;
 
     // Re-exported so downstream engines can name the register types
     // without importing `core::arch` themselves (`cargo xtask audit`
@@ -392,6 +451,189 @@ pub mod avx2 {
         // on AVX, which this fn's caller-proved feature set implies.
         unsafe { _mm256_setr_epi32(i(0), i(1), i(2), i(3), i(4), i(5), i(6), i(7)) }
     }
+
+    // -----------------------------------------------------------------
+    // The register twins as a `Lanes` implementation
+    // -----------------------------------------------------------------
+
+    /// Instantiate `f` on the register twin of `Pack<T, N>` with
+    /// `avx2,fma` enabled, so every vocabulary call of the steady state
+    /// inlines to a single instruction.
+    ///
+    /// # Safety
+    /// `Pack<T, N>` must be `f64×4` or `i32×8`, and the CPU must support
+    /// AVX2+FMA (`super::avx2_available()`).
+    #[target_feature(enable = "avx2,fma")]
+    pub(crate) unsafe fn run<T: Scalar, const N: usize, F: LaneFn<T, N>>(f: F) -> F::Output {
+        f.call::<Reg<T, N>>()
+    }
+
+    /// The 256 bits of a `Pack<T, N>` in one AVX2 register. Private: a
+    /// value can only be created inside [`run`], whose contract
+    /// guarantees both AVX2+FMA and that `Pack<T, N>` is `f64×4` or
+    /// `i32×8`, so every method below may execute AVX2/FMA instructions.
+    #[derive(Clone, Copy)]
+    struct Reg<T, const N: usize>(__m256i, PhantomData<T>);
+
+    /// Reinterpret a value as the same type under another name.
+    #[inline(always)]
+    fn same<A: 'static + Copy, B: 'static + Copy>(a: A) -> B {
+        assert!(is::<A, B>(), "element type mismatch");
+        // SAFETY: `A` and `B` are the same type (checked above).
+        unsafe { core::mem::transmute_copy(&a) }
+    }
+
+    impl<T: Scalar, const N: usize> Reg<T, N> {
+        #[inline(always)]
+        fn f64(self) -> bool {
+            is::<T, f64>()
+        }
+        #[inline(always)]
+        fn pd(self) -> __m256d {
+            // SAFETY: a `Reg` exists only once `run` was entered (AVX2 available);
+            // the cast is a register reinterpretation.
+            unsafe { _mm256_castsi256_pd(self.0) }
+        }
+        #[inline(always)]
+        fn from_pd(v: __m256d) -> Self {
+            // SAFETY: as in `pd`.
+            Reg(unsafe { _mm256_castpd_si256(v) }, PhantomData)
+        }
+        #[inline(always)]
+        fn from_si(v: __m256i) -> Self {
+            Reg(v, PhantomData)
+        }
+    }
+
+    impl<T: Scalar, const N: usize> Lanes for Reg<T, N> {
+        type Elem = T;
+        type Mem = Pack<T, N>;
+
+        #[inline(always)]
+        fn splat(v: T) -> Self {
+            if is::<T, f64>() {
+                Self::from_pd(splat(same(v)))
+            } else {
+                Self::from_si(splat_i32(same(v)))
+            }
+        }
+        #[inline(always)]
+        fn load(m: Pack<T, N>) -> Self {
+            assert_eq!(core::mem::size_of::<Pack<T, N>>(), 32);
+            // SAFETY: `Pack` is 32-byte aligned and (asserted) 32 bytes
+            // long, so the aligned 256-bit load reads exactly `m`; AVX2
+            // is available once `run` was entered.
+            Self::from_si(unsafe { _mm256_load_si256(&m as *const Pack<T, N> as *const __m256i) })
+        }
+        #[inline(always)]
+        fn store(self) -> Pack<T, N> {
+            assert_eq!(core::mem::size_of::<Pack<T, N>>(), 32);
+            let mut out = Pack::splat(T::ZERO);
+            // SAFETY: as in `load`, for the aligned 256-bit store.
+            unsafe { _mm256_store_si256(&mut out as *mut Pack<T, N> as *mut __m256i, self.0) };
+            out
+        }
+        #[inline(always)]
+        fn top(self) -> T {
+            // SAFETY: a `Reg` exists only once `run` was entered (AVX2 available).
+            unsafe {
+                if self.f64() {
+                    same(extract_top(self.pd()))
+                } else {
+                    same(extract_top_i32(self.0))
+                }
+            }
+        }
+        #[inline(always)]
+        fn shift_up_insert(self, bottom: T) -> Self {
+            // SAFETY: a `Reg` exists only once `run` was entered (AVX2 available).
+            unsafe {
+                if self.f64() {
+                    Self::from_pd(shift_up_insert(self.pd(), same(bottom)))
+                } else {
+                    Self::from_si(shift_up_insert_i32(self.0, same(bottom)))
+                }
+            }
+        }
+        #[inline(always)]
+        fn add(self, rhs: Self) -> Self {
+            // SAFETY: a `Reg` exists only once `run` was entered (AVX2 available).
+            unsafe {
+                if self.f64() {
+                    Self::from_pd(_mm256_add_pd(self.pd(), rhs.pd()))
+                } else {
+                    Self::from_si(add_i32(self.0, rhs.0))
+                }
+            }
+        }
+        #[inline(always)]
+        fn mul(self, rhs: Self) -> Self {
+            // SAFETY: a `Reg` exists only once `run` was entered (AVX2 available).
+            unsafe {
+                if self.f64() {
+                    Self::from_pd(mul(self.pd(), rhs.pd()))
+                } else {
+                    Self::from_si(mullo_i32(self.0, rhs.0))
+                }
+            }
+        }
+        #[inline(always)]
+        fn mul_add(self, m: Self, a: Self) -> Self {
+            // SAFETY: a `Reg` exists only once `run` was entered (AVX2+FMA available).
+            unsafe {
+                if self.f64() {
+                    Self::from_pd(fmadd(self.pd(), m.pd(), a.pd()))
+                } else {
+                    Self::from_si(add_i32(mullo_i32(self.0, m.0), a.0))
+                }
+            }
+        }
+        #[inline(always)]
+        fn max(self, rhs: Self) -> Self {
+            if self.f64() {
+                Self::load(Lanes::max(self.store(), rhs.store()))
+            } else {
+                // SAFETY: a `Reg` exists only once `run` was entered (AVX2 available).
+                Self::from_si(unsafe { max_i32(self.0, rhs.0) })
+            }
+        }
+        #[inline(always)]
+        fn select_eq(self, rhs: Self, if_eq: Self, otherwise: Self) -> Self {
+            if self.f64() {
+                let (a, b, t, f) = (self.store(), rhs.store(), if_eq.store(), otherwise.store());
+                Self::load(a.select_eq(b, t, f))
+            } else {
+                // SAFETY: AVX2 is available once `run` was entered; `cmpeq_i32`
+                // masks are whole-lane, as `blendv_i32` requires.
+                Self::from_si(unsafe { blendv_i32(otherwise.0, if_eq.0, cmpeq_i32(self.0, rhs.0)) })
+            }
+        }
+        #[inline(always)]
+        fn bit(self, index: Self) -> Self {
+            if self.f64() {
+                Self::load(Lanes::bit(self.store(), index.store()))
+            } else {
+                // SAFETY: a `Reg` exists only once `run` was entered (AVX2 available).
+                Self::from_si(unsafe { and_i32(srav_i32(self.0, index.0), splat_i32(1)) })
+            }
+        }
+        #[inline(always)]
+        fn gather_bytes(src: &[u8], base: usize, stride: isize) -> Self {
+            if is::<T, f64>() {
+                return Self::load(Pack::gather_bytes(src, base, stride));
+            }
+            // The indices are affine in the lane, so the two end lanes
+            // bound them all.
+            let last = base as isize + (N as isize - 1) * stride;
+            assert!(
+                base < src.len() && last >= 0 && (last as usize) < src.len(),
+                "byte gather out of bounds"
+            );
+            // SAFETY: every index lies between `base` and `last`, both
+            // checked in bounds above; AVX2 is available once `run` was entered.
+            Self::from_si(unsafe { gather_u8_i32(src, base, stride) })
+        }
+    }
 }
 
 #[cfg(all(test, target_arch = "x86_64"))]
@@ -402,8 +644,9 @@ pub mod avx2 {
 #[allow(clippy::undocumented_unsafe_blocks)]
 mod tests {
     use super::avx2::*;
-    use super::avx2_available;
-    use crate::pack::{transpose, F64x4, I32x8, Pack};
+    use super::{avx2_available, run_avx2};
+    use crate::lane::{LaneFn, Lanes};
+    use crate::pack::{transpose, F64x4, I32x8, Pack, Scalar};
 
     fn p(a: f64, b: f64, c: f64, d: f64) -> F64x4 {
         Pack([a, b, c, d])
@@ -581,6 +824,60 @@ mod tests {
                 I32x8::from_fn(|i| bytes[(base as isize + i as isize * stride) as usize] as i32);
             assert_eq!(to_pack_i32(g), gold, "base={base} stride={stride}");
         }
+    }
+
+    /// Every `Lanes` operation, applied to fixed operands; returns the
+    /// stored results and the top lanes.
+    struct AllOps<T: Scalar, const N: usize>([Pack<T, N>; 4]);
+
+    impl<T: Scalar, const N: usize> LaneFn<T, N> for AllOps<T, N> {
+        type Output = (Vec<Pack<T, N>>, Vec<T>);
+        fn call<L: Lanes<Elem = T, Mem = Pack<T, N>>>(self) -> Self::Output {
+            let [a, b, c, d] = self.0.map(L::load);
+            let bytes: Vec<u8> = (0..64).map(|i| (i * 7 % 13) as u8).collect();
+            let out = [
+                L::splat(T::from_index(3)),
+                a.shift_up_insert(T::from_index(9)),
+                a.add(b),
+                a.mul(b),
+                a.mul_add(b, c),
+                a.max(b),
+                a.select_eq(d, b, c),
+                d.bit(b),
+                L::gather_bytes(&bytes, 40, -5),
+                L::gather_bytes(&bytes, 3, 1),
+            ];
+            (
+                out.iter().map(|v| v.store()).collect(),
+                out.iter().map(|v| v.top()).collect(),
+            )
+        }
+    }
+
+    #[test]
+    fn lane_twins_match_portable_packs() {
+        if !avx2_available() {
+            return;
+        }
+        let f = AllOps([
+            F64x4::from_fn(|i| i as f64 * 1.5 - 2.0),
+            F64x4::from_fn(|i| 3.0 - i as f64),
+            F64x4::from_fn(|i| 0.25 * i as f64),
+            F64x4::from_fn(|i| (i % 2) as f64 * 1.5 - 2.0),
+        ]);
+        let portable = AllOps(f.0).call::<F64x4>();
+        // SAFETY: AVX2+FMA checked above; f64×4 has a register twin.
+        assert_eq!(unsafe { run_avx2(f) }, portable);
+        let g = AllOps([
+            I32x8::from_fn(|i| i as i32 * 5 - 13),
+            I32x8::from_fn(|i| i as i32 % 4),
+            I32x8::from_fn(|i| 17 - i as i32),
+            I32x8::from_fn(|i| (i as i32 * 5 - 13) * (i % 2) as i32 + 0b1_0110_1100),
+        ]);
+        let portable = AllOps(g.0).call::<I32x8>();
+        // SAFETY: AVX2 checked above; i32×8 has a register twin.
+        assert_eq!(unsafe { run_avx2(g) }, portable);
+        assert!(!super::avx2_lanes::<f64, 8>() && !super::avx2_lanes::<i32, 4>());
     }
 
     #[test]

@@ -11,7 +11,13 @@
 //! * [`count`] — the in-lane / lane-crossing reorganization-instruction
 //!   cost model of §3.3, as a thread-local counting session used to verify
 //!   the paper's per-output-vector instruction budgets;
-//! * [`arch`] — `std::arch` AVX2 implementations of the hot operations,
+//! * [`lane::Lanes`] — the lane vocabulary every temporal steady state is
+//!   written against, implemented by [`Pack`] and, in [`arch`], by the
+//!   AVX2 registers; [`lane::LaneFn`] is a steady state written once and
+//!   instantiated on either;
+//! * [`arch`] — `std::arch` AVX2: the register twins of `f64×4` and
+//!   `i32×8` behind [`arch::run_avx2`] (the one `#[target_feature]`
+//!   boundary), plus the vocabulary of named intrinsics they use,
 //!   equivalence-tested against the portable model.
 //!
 //! ## Temporal lane convention (paper Figure 1)
@@ -48,6 +54,8 @@
 
 pub mod arch;
 pub mod count;
+pub mod lane;
 pub mod pack;
 
+pub use lane::{LaneFn, Lanes};
 pub use pack::{transpose, F32x8, F64x4, I32x8, I64x4, Mask, Pack, Scalar};

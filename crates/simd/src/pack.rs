@@ -81,6 +81,10 @@ pub trait Scalar:
     /// True when the value is the canary / poison pattern (`NaN`-aware for
     /// floats, where `== CANARY` would always be false).
     fn is_canary(self) -> bool;
+    /// Bit `index` of `self` as `0` or `1` — `(self >> index) & 1` for
+    /// integers (the shift count taken modulo the bit width), the same
+    /// test on the truncated integer part for floats.
+    fn bit_s(self, index: Self) -> Self;
 }
 
 macro_rules! impl_scalar_float {
@@ -136,6 +140,10 @@ macro_rules! impl_scalar_float {
             #[inline(always)]
             fn is_canary(self) -> bool {
                 self.is_nan()
+            }
+            #[inline(always)]
+            fn bit_s(self, index: Self) -> Self {
+                ((self as i64).wrapping_shr(index as u32) & 1) as $t
             }
             #[inline(always)]
             fn select_s(m: bool, a: Self, b: Self) -> Self {
@@ -204,6 +212,10 @@ macro_rules! impl_scalar_int {
             #[inline(always)]
             fn is_canary(self) -> bool {
                 self == Self::CANARY
+            }
+            #[inline(always)]
+            fn bit_s(self, index: Self) -> Self {
+                self.wrapping_shr(index as u32) & 1
             }
             #[inline(always)]
             fn select_s(m: bool, a: Self, b: Self) -> Self {

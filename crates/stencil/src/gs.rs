@@ -9,7 +9,7 @@
 //! operands are taken from previous *output* vectors.
 
 use crate::deps::{Dep, DepSet};
-use tempora_simd::Pack;
+use tempora_simd::Lanes;
 
 /// Coefficients of the 1D 3-point Gauss-Seidel stencil
 /// `a[x] ← w·a[x-1] + c·a[x] + e·a[x+1]` with `a[x-1]` already updated
@@ -58,15 +58,10 @@ impl Gs1dCoeffs {
     /// Pack update — identical operation tree, lane-wise. `l_new` is the
     /// previous *output* vector (§3.4).
     #[inline(always)]
-    pub fn apply_pack<const N: usize>(
-        &self,
-        l_new: Pack<f64, N>,
-        m: Pack<f64, N>,
-        r: Pack<f64, N>,
-    ) -> Pack<f64, N> {
+    pub fn apply_pack<L: Lanes<Elem = f64>>(&self, l_new: L, m: L, r: L) -> L {
         l_new.mul_add(
-            Pack::splat(self.w),
-            m.mul_add(Pack::splat(self.c), r * Pack::splat(self.e)),
+            L::splat(self.w),
+            m.mul_add(L::splat(self.c), r.mul(L::splat(self.e))),
         )
     }
 }
@@ -125,21 +120,14 @@ impl Gs2dCoeffs {
 
     /// Pack update — identical operation tree, lane-wise.
     #[inline(always)]
-    pub fn apply_pack<const N: usize>(
-        &self,
-        n_new: Pack<f64, N>,
-        w_new: Pack<f64, N>,
-        m: Pack<f64, N>,
-        e: Pack<f64, N>,
-        s: Pack<f64, N>,
-    ) -> Pack<f64, N> {
+    pub fn apply_pack<L: Lanes<Elem = f64>>(&self, n_new: L, w_new: L, m: L, e: L, s: L) -> L {
         n_new.mul_add(
-            Pack::splat(self.cn),
+            L::splat(self.cn),
             w_new.mul_add(
-                Pack::splat(self.cw),
+                L::splat(self.cw),
                 m.mul_add(
-                    Pack::splat(self.cc),
-                    e.mul_add(Pack::splat(self.ce), s * Pack::splat(self.cs)),
+                    L::splat(self.cc),
+                    e.mul_add(L::splat(self.ce), s.mul(L::splat(self.cs))),
                 ),
             ),
         )
@@ -227,27 +215,27 @@ impl Gs3dCoeffs {
     // Justification: seven neighbor packs are the 3-D stencil star itself, in sweep order.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    pub fn apply_pack<const N: usize>(
+    pub fn apply_pack<L: Lanes<Elem = f64>>(
         &self,
-        xm: Pack<f64, N>,
-        ym: Pack<f64, N>,
-        zm: Pack<f64, N>,
-        m: Pack<f64, N>,
-        zp: Pack<f64, N>,
-        yp: Pack<f64, N>,
-        xp: Pack<f64, N>,
-    ) -> Pack<f64, N> {
+        xm: L,
+        ym: L,
+        zm: L,
+        m: L,
+        zp: L,
+        yp: L,
+        xp: L,
+    ) -> L {
         xm.mul_add(
-            Pack::splat(self.cxm),
+            L::splat(self.cxm),
             ym.mul_add(
-                Pack::splat(self.cym),
+                L::splat(self.cym),
                 zm.mul_add(
-                    Pack::splat(self.czm),
+                    L::splat(self.czm),
                     m.mul_add(
-                        Pack::splat(self.cc),
+                        L::splat(self.cc),
                         zp.mul_add(
-                            Pack::splat(self.czp),
-                            yp.mul_add(Pack::splat(self.cyp), xp * Pack::splat(self.cxp)),
+                            L::splat(self.czp),
+                            yp.mul_add(L::splat(self.cyp), xp.mul(L::splat(self.cxp))),
                         ),
                     ),
                 ),
@@ -260,7 +248,7 @@ impl Gs3dCoeffs {
 mod tests {
     use super::*;
     use crate::deps::validate_schedule;
-    use tempora_simd::F64x4;
+    use tempora_simd::{F64x4, Pack};
 
     #[test]
     fn gs_kernels_are_gauss_seidel() {

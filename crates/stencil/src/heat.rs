@@ -7,7 +7,7 @@
 //! compared bit-for-bit against the scalar reference.
 
 use crate::deps::{Dep, DepSet};
-use tempora_simd::Pack;
+use tempora_simd::Lanes;
 
 /// Coefficients of the 1D 3-point Jacobi stencil
 /// `a'[x] = w·a[x-1] + c·a[x] + e·a[x+1]`.
@@ -53,15 +53,10 @@ impl Heat1dCoeffs {
 
     /// Pack update — the identical operation tree, lane-wise.
     #[inline(always)]
-    pub fn apply_pack<const N: usize>(
-        &self,
-        l: Pack<f64, N>,
-        m: Pack<f64, N>,
-        r: Pack<f64, N>,
-    ) -> Pack<f64, N> {
+    pub fn apply_pack<L: Lanes<Elem = f64>>(&self, l: L, m: L, r: L) -> L {
         l.mul_add(
-            Pack::splat(self.w),
-            m.mul_add(Pack::splat(self.c), r * Pack::splat(self.e)),
+            L::splat(self.w),
+            m.mul_add(L::splat(self.c), r.mul(L::splat(self.e))),
         )
     }
 }
@@ -123,21 +118,14 @@ impl Heat2dCoeffs {
 
     /// Pack update — identical operation tree, lane-wise.
     #[inline(always)]
-    pub fn apply_pack<const N: usize>(
-        &self,
-        n: Pack<f64, N>,
-        w: Pack<f64, N>,
-        m: Pack<f64, N>,
-        e: Pack<f64, N>,
-        s: Pack<f64, N>,
-    ) -> Pack<f64, N> {
+    pub fn apply_pack<L: Lanes<Elem = f64>>(&self, n: L, w: L, m: L, e: L, s: L) -> L {
         n.mul_add(
-            Pack::splat(self.cn),
+            L::splat(self.cn),
             w.mul_add(
-                Pack::splat(self.cw),
+                L::splat(self.cw),
                 m.mul_add(
-                    Pack::splat(self.cc),
-                    e.mul_add(Pack::splat(self.ce), s * Pack::splat(self.cs)),
+                    L::splat(self.cc),
+                    e.mul_add(L::splat(self.ce), s.mul(L::splat(self.cs))),
                 ),
             ),
         )
@@ -227,27 +215,27 @@ impl Heat3dCoeffs {
     // Justification: seven neighbor packs are the 3-D stencil star itself, in sweep order.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    pub fn apply_pack<const N: usize>(
+    pub fn apply_pack<L: Lanes<Elem = f64>>(
         &self,
-        xm: Pack<f64, N>,
-        ym: Pack<f64, N>,
-        zm: Pack<f64, N>,
-        m: Pack<f64, N>,
-        zp: Pack<f64, N>,
-        yp: Pack<f64, N>,
-        xp: Pack<f64, N>,
-    ) -> Pack<f64, N> {
+        xm: L,
+        ym: L,
+        zm: L,
+        m: L,
+        zp: L,
+        yp: L,
+        xp: L,
+    ) -> L {
         xm.mul_add(
-            Pack::splat(self.cxm),
+            L::splat(self.cxm),
             ym.mul_add(
-                Pack::splat(self.cym),
+                L::splat(self.cym),
                 zm.mul_add(
-                    Pack::splat(self.czm),
+                    L::splat(self.czm),
                     m.mul_add(
-                        Pack::splat(self.cc),
+                        L::splat(self.cc),
                         zp.mul_add(
-                            Pack::splat(self.czp),
-                            yp.mul_add(Pack::splat(self.cyp), xp * Pack::splat(self.cxp)),
+                            L::splat(self.czp),
+                            yp.mul_add(L::splat(self.cyp), xp.mul(L::splat(self.cxp))),
                         ),
                     ),
                 ),
@@ -317,8 +305,8 @@ impl Box2dCoeffs {
 
     /// Pack update — identical operation tree, lane-wise.
     #[inline(always)]
-    pub fn apply_pack<const N: usize>(&self, v: [[Pack<f64, N>; 3]; 3]) -> Pack<f64, N> {
-        let s = |x: f64| Pack::<f64, N>::splat(x);
+    pub fn apply_pack<L: Lanes<Elem = f64>>(&self, v: [[L; 3]; 3]) -> L {
+        let s = |x: f64| L::splat(x);
         let c = &self.c;
         v[0][0].mul_add(
             s(c[0][0]),
@@ -334,7 +322,7 @@ impl Box2dCoeffs {
                                 s(c[1][2]),
                                 v[2][0].mul_add(
                                     s(c[2][0]),
-                                    v[2][1].mul_add(s(c[2][1]), v[2][2] * s(c[2][2])),
+                                    v[2][1].mul_add(s(c[2][1]), v[2][2].mul(s(c[2][2]))),
                                 ),
                             ),
                         ),
@@ -348,7 +336,7 @@ impl Box2dCoeffs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tempora_simd::F64x4;
+    use tempora_simd::{F64x4, Pack};
 
     #[test]
     fn heat1d_scalar_pack_bitwise_equal() {

@@ -7,7 +7,7 @@
 //! general (any B/S bitmask) so classic Conway B3S23 is available too.
 
 use crate::deps::{Dep, DepSet};
-use tempora_simd::Pack;
+use tempora_simd::Lanes;
 
 /// A Life rule given as birth/survival neighbour-count bitmasks
 /// (bit `c` set ⇔ the transition applies at neighbour count `c`).
@@ -53,28 +53,17 @@ impl LifeRule {
         ((mask >> sum) & 1) as i32
     }
 
-    /// Pack transition with the identical semantics, implemented in pure
-    /// branch-free integer arithmetic so it lowers to straight vector
-    /// code regardless of how unpredictable the board is:
-    ///
-    /// * per relevant count `c`, `eq01 = 1 - min(1, (sum-c)²)` is the 0/1
-    ///   indicator of `sum == c` (counts are in `0..=8`, so the square
-    ///   never overflows and is 0 exactly on equality);
-    /// * indicators of distinct counts are disjoint, so the rule masks
-    ///   reduce to *sums* of indicators;
-    /// * cells are 0/1 by the Life invariant, so the final blend is
-    ///   `(1-cur)·born + cur·surv`.
+    /// Vector transition with the identical semantics, branch-free and
+    /// written over [`Lanes`] so one source serves every lane
+    /// implementation: the applicable rule mask per lane is selected
+    /// arithmetically (cells are 0/1) as `birth + cur·(survive - birth)`,
+    /// then bit `sum` of it is the new state — the same bit test as the
+    /// scalar rule.
     #[inline(always)]
-    pub fn apply_pack<const N: usize>(&self, cur: Pack<i32, N>, sum: Pack<i32, N>) -> Pack<i32, N> {
-        debug_assert!((0..N).all(|i| cur.extract(i) == 0 || cur.extract(i) == 1));
-        // The applicable rule mask per lane, selected arithmetically
-        // (cells are 0/1): birth + cur·(survive - birth).
-        let mask = Pack::<i32, N>::splat(self.birth as i32)
-            + cur * Pack::splat(self.survive as i32 - self.birth as i32);
-        // (mask >> sum) & 1, lane-wise — the same variable-shift bit test
-        // as the scalar rule; LLVM lowers the fixed-size loop to a single
-        // vector variable-shift on AVX2+.
-        Pack::from_fn(|i| (mask[i] >> sum[i]) & 1)
+    pub fn apply_pack<L: Lanes<Elem = i32>>(&self, cur: L, sum: L) -> L {
+        let mask = L::splat(i32::from(self.birth))
+            .add(cur.mul(L::splat(i32::from(self.survive) - i32::from(self.birth))));
+        mask.bit(sum)
     }
 
     /// Scalar 3×3 neighbourhood update (`v[di+1][dj+1] = a[x+di][y+dj]`):
@@ -88,11 +77,15 @@ impl LifeRule {
     /// Pack 3×3 neighbourhood update, lane-wise identical to
     /// [`LifeRule::apply_neighborhood`].
     #[inline(always)]
-    pub fn apply_neighborhood_pack<const N: usize>(
-        &self,
-        v: [[Pack<i32, N>; 3]; 3],
-    ) -> Pack<i32, N> {
-        let sum = v[0][0] + v[0][1] + v[0][2] + v[1][0] + v[1][2] + v[2][0] + v[2][1] + v[2][2];
+    pub fn apply_neighborhood_pack<L: Lanes<Elem = i32>>(&self, v: [[L; 3]; 3]) -> L {
+        let sum = v[0][0]
+            .add(v[0][1])
+            .add(v[0][2])
+            .add(v[1][0])
+            .add(v[1][2])
+            .add(v[2][0])
+            .add(v[2][1])
+            .add(v[2][2]);
         self.apply_pack(v[1][1], sum)
     }
 }

@@ -21,15 +21,14 @@
 //! the in-tile engine once, allocates the tile arena and temporal scratch
 //! once, and is then driven by repeated `advance(&mut grid, &pool)` calls
 //! that run **allocation-free**. This is the execution layer behind
-//! `tempora_plan::Plan`; the old `run_jacobi_*` free functions remain as
-//! deprecated one-shot wrappers.
+//! `tempora_plan::Plan`.
 //!
 //! # Engine dispatch
 //!
 //! The temporal in-tile kernel goes through the same dispatch as the
 //! sequential engines: every workspace takes a [`Select`], resolves it
-//! **once** against the kernel's AVX2 capability ([`Avx2Exec1d`] and
-//! friends) and the tile geometry, and reports the resolved [`Engine`]
+//! **once** against the AVX2 capability of its lane type
+//! ([`tempora_simd::arch::avx2_lanes`]) and the tile geometry, and reports the resolved [`Engine`]
 //! so the bench harness can record which steady state the parallel
 //! series actually measured. Degenerate geometries — no full band, or
 //! tiles too narrow to host a vector steady state — resolve portable,
@@ -62,12 +61,12 @@
 //! NUMA machines a tile's pages live on the node of the worker that
 //! computes it.
 
-use tempora_core::engine::{Avx2Exec1d, Avx2Exec2d, Avx2Exec3d, Engine, Select};
-use tempora_core::kernels::{Kernel2d, Kernel3d, Nbhd, Nbhd3};
+use tempora_core::engine::{Engine, Select};
+use tempora_core::kernels::{Kernel1d, Kernel2d, Kernel3d, Nbhd, Nbhd3};
 use tempora_core::{t1d, t2d, t3d};
 use tempora_grid::{Boundary, Grid1, Grid2, Grid3};
 use tempora_parallel::{Pool, SyncSlice};
-use tempora_simd::{Pack, Scalar};
+use tempora_simd::{arch, Pack, Scalar};
 
 /// Which in-tile kernel advances a ghost buffer by `VL` levels.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -140,7 +139,7 @@ fn resolve_ghost<const VL: usize>(
 /// `dst[1..=n]` from `src`, halos untouched. Bit-identical to the
 /// `multiload` baseline; exposed so sequential multi-load execution can
 /// ping-pong caller-owned buffers without per-step allocation.
-pub fn auto_step_1d<K: Avx2Exec1d>(src: &[f64], dst: &mut [f64], n: usize, kern: &K) {
+pub fn auto_step_1d<K: Kernel1d>(src: &[f64], dst: &mut [f64], n: usize, kern: &K) {
     const N: usize = 4;
     let mut x = 1;
     while x + N <= n + 1 {
@@ -163,7 +162,7 @@ pub fn auto_step_1d<K: Avx2Exec1d>(src: &[f64], dst: &mut [f64], n: usize, kern:
 /// in-tile engine resolved once in [`GhostJacobi1d::new`], tile arena and
 /// temporal scratch allocated once, then reused by every
 /// [`GhostJacobi1d::advance`] call — the band loop is allocation-free.
-pub struct GhostJacobi1d<K: Avx2Exec1d> {
+pub struct GhostJacobi1d<K: Kernel1d> {
     kern: K,
     steps: usize,
     block: usize,
@@ -178,7 +177,7 @@ pub struct GhostJacobi1d<K: Avx2Exec1d> {
     scratch: Vec<t1d::Scratch1d<4>>,
 }
 
-impl<K: Avx2Exec1d> GhostJacobi1d<K> {
+impl<K: Kernel1d> GhostJacobi1d<K> {
     /// Build a workspace for interior size `n`: bands of `height` time
     /// levels, blocks of `block` interior cells. For [`Mode::Temporal`],
     /// `sel` picks the in-tile steady state (resolved here, once).
@@ -209,7 +208,7 @@ impl<K: Avx2Exec1d> GhostJacobi1d<K> {
         let engine = match mode {
             Mode::Temporal(s) => Some(resolve_ghost::<VL>(
                 sel,
-                K::avx2_tile(s),
+                arch::avx2_lanes::<f64, VL>(),
                 n,
                 block,
                 ghost,
@@ -364,17 +363,9 @@ impl<K: Avx2Exec1d> GhostJacobi1d<K> {
                         // SAFETY: tile t writes only its own scratch slot
                         // `[t]`; slots are disjoint across tiles.
                         let sc = unsafe { &mut scratch_shared.slice_mut()[t] };
-                        match engine {
-                            Some(Engine::Avx2) => {
-                                for _ in 0..height / VL {
-                                    kern.tile_avx2(buf, nb, s, sc);
-                                }
-                            }
-                            _ => {
-                                for _ in 0..height / VL {
-                                    t1d::tile::<VL, false, K>(buf, nb, kern, s, sc);
-                                }
-                            }
+                        let engine = engine.unwrap_or(Engine::Portable);
+                        for _ in 0..height / VL {
+                            t1d::tile::<VL, false, K>(engine, buf, nb, kern, s, sc);
                         }
                     }
                 }
@@ -387,30 +378,6 @@ impl<K: Avx2Exec1d> GhostJacobi1d<K> {
             t1d::scalar_step_inplace(a, n, kern);
         }
     }
-}
-
-/// Run `steps` Jacobi time steps over the grid with ghost-zone band
-/// tiling (one-shot wrapper over [`GhostJacobi1d`]).
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `tempora_plan::Plan` (or reuse a `ghost::GhostJacobi1d` workspace) instead"
-)]
-// Justification: the parameter list is the ghost-tile run contract (grid, kernel, steps, tiling, pool); a params struct would obscure it.
-#[allow(clippy::too_many_arguments)]
-pub fn run_jacobi_1d<K: Avx2Exec1d + Copy>(
-    grid: &Grid1<f64>,
-    kern: &K,
-    steps: usize,
-    block: usize,
-    height: usize,
-    mode: Mode,
-    sel: Select,
-    pool: &Pool,
-) -> (Grid1<f64>, Option<Engine>) {
-    let mut w = GhostJacobi1d::new(*kern, grid.n(), steps, block, height, mode, sel);
-    let mut g = grid.clone();
-    w.advance(&mut g, pool);
-    (g, w.engine())
 }
 
 /// One multi-load Jacobi step on a 2-D buffer grid (vectorized along `y`).
@@ -466,10 +433,8 @@ pub fn auto_step_2d<T: Scalar, K: Kernel2d<T>>(src: &Grid2<T>, dst: &mut Grid2<T
 
 /// Per-tile worker state for [`GhostJacobi2d`], allocated once per
 /// workspace so the band loop runs allocation-free. The portable and
-/// AVX2 steady states share one temporal scratch: every hand-scheduled
-/// 2-D tile runs at the workspace's own lane count (4 f64 lanes, 8 i32
-/// lanes for Life), which `Avx2Exec2d::avx2_tile` guarantees before the
-/// engine can resolve to AVX2.
+/// AVX2 instantiations of the steady state share one temporal scratch:
+/// both run at the workspace's own lane count.
 enum TileState2<T: Scalar, const VL: usize> {
     /// Scalar in-place row buffers.
     Rows(Vec<T>, Vec<T>),
@@ -483,7 +448,7 @@ enum TileState2<T: Scalar, const VL: usize> {
 /// Reusable ghost-zone workspace for 2-D Jacobi band tiling along the
 /// outer dimension (`VL` = 4 for `f64` kernels, 8 for the integer Life
 /// kernel). See [`GhostJacobi1d`] for the lifecycle and engine contract.
-pub struct GhostJacobi2d<T: Scalar, const VL: usize, K: Avx2Exec2d<T>> {
+pub struct GhostJacobi2d<T: Scalar, const VL: usize, K: Kernel2d<T>> {
     kern: K,
     steps: usize,
     block: usize,
@@ -499,7 +464,7 @@ pub struct GhostJacobi2d<T: Scalar, const VL: usize, K: Avx2Exec2d<T>> {
     rem_rows: (Vec<T>, Vec<T>),
 }
 
-impl<T: Scalar, const VL: usize, K: Avx2Exec2d<T>> GhostJacobi2d<T, VL, K> {
+impl<T: Scalar, const VL: usize, K: Kernel2d<T>> GhostJacobi2d<T, VL, K> {
     /// Build a workspace for an `nx × ny` interior with boundary `bc`.
     /// See [`GhostJacobi1d::new`] for the panics contract.
     // Justification: constructor takes the full tile geometry; see the run_* wrapper rationale.
@@ -526,7 +491,7 @@ impl<T: Scalar, const VL: usize, K: Avx2Exec2d<T>> GhostJacobi2d<T, VL, K> {
         let engine = match mode {
             Mode::Temporal(s) => Some(resolve_ghost::<VL>(
                 sel,
-                K::avx2_tile(VL, s),
+                arch::avx2_lanes::<T, VL>(),
                 nx,
                 block,
                 ghost,
@@ -680,17 +645,9 @@ impl<T: Scalar, const VL: usize, K: Avx2Exec2d<T>> GhostJacobi2d<T, VL, K> {
                         let Mode::Temporal(s) = mode else {
                             unreachable!()
                         };
-                        match engine {
-                            Some(Engine::Avx2) => {
-                                for _ in 0..height / VL {
-                                    kern.tile_avx2(buf, s, sc);
-                                }
-                            }
-                            _ => {
-                                for _ in 0..height / VL {
-                                    t2d::tile::<T, VL, K>(buf, kern, s, sc);
-                                }
-                            }
+                        let engine = engine.unwrap_or(Engine::Portable);
+                        for _ in 0..height / VL {
+                            t2d::tile::<T, VL, K>(engine, buf, kern, s, sc);
                         }
                     }
                 }
@@ -708,40 +665,6 @@ impl<T: Scalar, const VL: usize, K: Avx2Exec2d<T>> GhostJacobi2d<T, VL, K> {
             }
         }
     }
-}
-
-/// Run `steps` Jacobi time steps over a 2-D grid with ghost-zone band
-/// tiling (one-shot wrapper over [`GhostJacobi2d`]).
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `tempora_plan::Plan` (or reuse a `ghost::GhostJacobi2d` workspace) instead"
-)]
-// Justification: the parameter list is the ghost-tile run contract (grid, kernel, steps, tiling, pool); a params struct would obscure it.
-#[allow(clippy::too_many_arguments)]
-pub fn run_jacobi_2d<T: Scalar, const VL: usize, K: Avx2Exec2d<T> + Copy>(
-    grid: &Grid2<T>,
-    kern: &K,
-    steps: usize,
-    block: usize,
-    height: usize,
-    mode: Mode,
-    sel: Select,
-    pool: &Pool,
-) -> (Grid2<T>, Option<Engine>) {
-    let mut w = GhostJacobi2d::<T, VL, K>::new(
-        *kern,
-        grid.nx(),
-        grid.ny(),
-        grid.boundary(),
-        steps,
-        block,
-        height,
-        mode,
-        sel,
-    );
-    let mut g = grid.clone();
-    w.advance(&mut g, pool);
-    (g, w.engine())
 }
 
 /// One multi-load Jacobi step on a 3-D buffer grid (vectorized along `z`).
@@ -808,7 +731,7 @@ enum TileState3 {
 /// Reusable ghost-zone workspace for 3-D Jacobi band tiling along the
 /// outer dimension. See [`GhostJacobi1d`] for the lifecycle and engine
 /// contract.
-pub struct GhostJacobi3d<K: Avx2Exec3d> {
+pub struct GhostJacobi3d<K: Kernel3d<f64>> {
     kern: K,
     steps: usize,
     block: usize,
@@ -825,7 +748,7 @@ pub struct GhostJacobi3d<K: Avx2Exec3d> {
     rem_planes: (Vec<f64>, Vec<f64>),
 }
 
-impl<K: Avx2Exec3d> GhostJacobi3d<K> {
+impl<K: Kernel3d<f64>> GhostJacobi3d<K> {
     /// Build a workspace for an `nx × ny × nz` interior with boundary
     /// `bc`. See [`GhostJacobi1d::new`] for the panics contract.
     // Justification: constructor takes the full tile geometry; see the run_* wrapper rationale.
@@ -854,7 +777,7 @@ impl<K: Avx2Exec3d> GhostJacobi3d<K> {
         let engine = match mode {
             Mode::Temporal(s) => Some(resolve_ghost::<VL>(
                 sel,
-                K::avx2_tile(s),
+                arch::avx2_lanes::<f64, VL>(),
                 nx,
                 block,
                 ghost,
@@ -1009,17 +932,9 @@ impl<K: Avx2Exec3d> GhostJacobi3d<K> {
                         let Mode::Temporal(s) = mode else {
                             unreachable!()
                         };
-                        match engine {
-                            Some(Engine::Avx2) => {
-                                for _ in 0..height / VL {
-                                    kern.tile_avx2(buf, s, sc);
-                                }
-                            }
-                            _ => {
-                                for _ in 0..height / VL {
-                                    t3d::tile::<f64, VL, K>(buf, kern, s, sc);
-                                }
-                            }
+                        let engine = engine.unwrap_or(Engine::Portable);
+                        for _ in 0..height / VL {
+                            t3d::tile::<f64, VL, K>(engine, buf, kern, s, sc);
                         }
                     }
                 }
@@ -1039,41 +954,6 @@ impl<K: Avx2Exec3d> GhostJacobi3d<K> {
     }
 }
 
-/// Run `steps` Jacobi time steps over a 3-D grid with ghost-zone band
-/// tiling (one-shot wrapper over [`GhostJacobi3d`]).
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `tempora_plan::Plan` (or reuse a `ghost::GhostJacobi3d` workspace) instead"
-)]
-// Justification: the parameter list is the ghost-tile run contract (grid, kernel, steps, tiling, pool); a params struct would obscure it.
-#[allow(clippy::too_many_arguments)]
-pub fn run_jacobi_3d<K: Avx2Exec3d + Copy>(
-    grid: &Grid3<f64>,
-    kern: &K,
-    steps: usize,
-    block: usize,
-    height: usize,
-    mode: Mode,
-    sel: Select,
-    pool: &Pool,
-) -> (Grid3<f64>, Option<Engine>) {
-    let mut w = GhostJacobi3d::new(
-        *kern,
-        grid.nx(),
-        grid.ny(),
-        grid.nz(),
-        grid.boundary(),
-        steps,
-        block,
-        height,
-        mode,
-        sel,
-    );
-    let mut g = grid.clone();
-    w.advance(&mut g, pool);
-    (g, w.engine())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1084,11 +964,10 @@ mod tests {
     use tempora_stencil::reference;
     use tempora_stencil::{Box2dCoeffs, Heat1dCoeffs, Heat2dCoeffs, Heat3dCoeffs, LifeRule};
 
-    /// Workspace-based equivalents of the deprecated one-shot wrappers,
-    /// used below so the test suite exercises the current API.
+    /// One-shot runs over a fresh workspace.
     // Justification: test helper mirrors the run contract signature.
     #[allow(clippy::too_many_arguments)]
-    fn ghost_1d<K: Avx2Exec1d + Copy>(
+    fn ghost_1d<K: Kernel1d + Copy>(
         grid: &Grid1<f64>,
         kern: &K,
         steps: usize,
@@ -1106,7 +985,7 @@ mod tests {
 
     // Justification: test helper mirrors the run contract signature.
     #[allow(clippy::too_many_arguments)]
-    fn ghost_2d<T: Scalar, const VL: usize, K: Avx2Exec2d<T> + Copy>(
+    fn ghost_2d<T: Scalar, const VL: usize, K: Kernel2d<T> + Copy>(
         grid: &Grid2<T>,
         kern: &K,
         steps: usize,
@@ -1170,7 +1049,7 @@ mod tests {
     }
 
     #[test]
-    fn ghost_1d_workspace_reuse_is_identical_and_allocation_free() {
+    fn ghost_1d_workspace_reuse_is_identical() {
         let c = Heat1dCoeffs::classic(0.25);
         let kern = JacobiKern1d(c);
         let pool = Pool::new(2);
@@ -1180,22 +1059,10 @@ mod tests {
         let mut a = g0.clone();
         w.advance(&mut a, &pool);
         // Second use of the same workspace on a fresh state must agree
-        // with a fresh workspace bit-for-bit and allocate nothing. The
-        // counter is process-global and sibling tests allocate
-        // concurrently, so retry until a clean window: if `advance`
-        // itself allocated, every window would show a delta.
+        // with the first bit-for-bit (tests/alloc_free.rs checks that it
+        // allocates nothing).
         let mut b = g0.clone();
-        let mut clean = false;
-        for _ in 0..32 {
-            b = g0.clone();
-            let before = tempora_grid::alloc_count();
-            w.advance(&mut b, &pool);
-            if tempora_grid::alloc_count() == before {
-                clean = true;
-                break;
-            }
-        }
-        assert!(clean, "advance allocated in every observed window");
+        w.advance(&mut b, &pool);
         assert!(a.interior_eq(&b));
         assert!(a.interior_eq(&reference::heat1d(&g0, c, 8)));
     }
@@ -1234,20 +1101,6 @@ mod tests {
             let (_, e) = ghost_1d(&g, &kern, 8, 64, 4, Mode::Temporal(7), Select::Auto, &pool);
             assert_eq!(e, Some(Engine::Avx2));
         }
-    }
-
-    #[test]
-    // Justification: pins the deprecated one-shot wrappers' behavior until their removal.
-    #[allow(deprecated)]
-    fn deprecated_wrappers_still_work() {
-        let c = Heat1dCoeffs::classic(0.25);
-        let kern = JacobiKern1d(c);
-        let pool = Pool::new(2);
-        let mut g = Grid1::new(200, 1, Boundary::Dirichlet(0.5));
-        fill_random_1d(&mut g, 7, -1.0, 1.0);
-        let gold = reference::heat1d(&g, c, 8);
-        let (ours, _) = run_jacobi_1d(&g, &kern, 8, 64, 4, Mode::Temporal(7), Select::Auto, &pool);
-        assert!(ours.interior_eq(&gold));
     }
 
     #[test]

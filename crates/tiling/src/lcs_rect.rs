@@ -12,18 +12,16 @@
 //!
 //! [`LcsRect`] is the reusable workspace form (row, column buffers and
 //! per-block temporal scratch allocated once, reused by every
-//! [`LcsRect::run`] call — the wavefront runs allocation-free); the old
-//! [`run_lcs`] free function remains as a deprecated one-shot wrapper.
+//! [`LcsRect::run`] call — the wavefront runs allocation-free).
 //! The temporal in-tile kernel dispatches like the grid tilings: the
 //! workspace resolves its [`Select`] once against the AVX2 LCS steady
 //! state's shape predicate
-//! ([`tempora_core::lcs_avx2::rect_has_vector_tiles`] — every block
+//! ([`tempora_core::lcs::rect_has_vector_tiles`] — every block
 //! column must host the `vl = 8` vector schedule) and reports the
 //! resolved [`Engine`]; degenerate geometries honestly stay portable.
 
 use tempora_core::engine::{Engine, Select};
-use tempora_core::lcs::{scalar_row_step_seg, tile_seg, ScratchLcs};
-use tempora_core::lcs_avx2;
+use tempora_core::lcs::{rect_has_vector_tiles, scalar_row_step_seg, tile_seg, ScratchLcs};
 use tempora_parallel::{Pool, SyncSlice};
 
 const VL: usize = 8;
@@ -34,7 +32,7 @@ struct TileRun<'a> {
     b: &'a [u8],
     s: usize,
     temporal: bool,
-    avx2: bool,
+    engine: Engine,
 }
 
 impl TileRun<'_> {
@@ -63,15 +61,18 @@ impl TileRun<'_> {
                 let a_tile = &self.a[x0 + base..x0 + base + VL];
                 let lcol = &left[base..base + VL + 1];
                 let rcol = &mut right[base..base + VL + 1];
-                match self.avx2 {
-                    #[cfg(target_arch = "x86_64")]
-                    true => {
-                        lcs_avx2::tile_seg_avx2(row, y0, y1, a_tile, self.b, self.s, lcol, rcol, sc)
-                    }
-                    #[cfg(not(target_arch = "x86_64"))]
-                    true => unreachable!("AVX2 resolved on a non-x86-64 target"),
-                    false => tile_seg::<VL>(row, y0, y1, a_tile, self.b, self.s, lcol, rcol, sc),
-                }
+                tile_seg::<VL>(
+                    self.engine,
+                    row,
+                    y0,
+                    y1,
+                    a_tile,
+                    self.b,
+                    self.s,
+                    lcol,
+                    rcol,
+                    sc,
+                );
             }
             for h in bands * VL..height {
                 scalar_row_step_seg(row, self.a[x0 + h], self.b, y0, y1, left[h + 1], left[h]);
@@ -141,8 +142,7 @@ impl LcsRect {
             yblock,
             s,
             temporal,
-            engine: temporal
-                .then(|| sel.resolve(lcs_avx2::rect_has_vector_tiles(la, lb, xblock, yblock, s))),
+            engine: temporal.then(|| sel.resolve(rect_has_vector_tiles(la, lb, xblock, yblock, s))),
             la,
             lb,
             row: vec![0i32; lb + 1],
@@ -206,7 +206,7 @@ impl LcsRect {
             b,
             s: self.s,
             temporal: self.temporal,
-            avx2: self.engine == Some(Engine::Avx2),
+            engine: self.engine.unwrap_or(Engine::Portable),
         };
         let (xblock, yblock) = (self.xblock, self.yblock);
         {
@@ -237,26 +237,6 @@ impl LcsRect {
         }
         self.row[lb]
     }
-}
-
-/// Compute the LCS length of `a` and `b` with rectangle tiling (one-shot
-/// wrapper over [`LcsRect`]).
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `tempora_plan::Plan` (or reuse an `lcs_rect::LcsRect` workspace) instead"
-)]
-// Justification: the parameter list is the LCS run contract; a params struct would obscure it.
-#[allow(clippy::too_many_arguments)]
-pub fn run_lcs(
-    a: &[u8],
-    b: &[u8],
-    xblock: usize,
-    yblock: usize,
-    s: usize,
-    temporal: bool,
-    pool: &Pool,
-) -> i32 {
-    LcsRect::new(a.len(), b.len(), xblock, yblock, s, temporal, Select::Auto).run(a, b, pool)
 }
 
 #[cfg(test)]
@@ -291,7 +271,7 @@ mod tests {
     }
 
     #[test]
-    fn workspace_reuse_is_identical_and_allocation_free() {
+    fn workspace_reuse_is_identical() {
         let pool = Pool::new(2);
         let a = random_sequence(100, 4, 1);
         let b = random_sequence(140, 4, 2);
@@ -304,19 +284,9 @@ mod tests {
         };
         assert_eq!(w.engine(), Some(expect));
         assert_eq!(w.run(&a, &b, &pool), gold);
-        // Process-global counter + concurrent sibling tests: retry until
-        // a clean window (a real allocation in `run` would taint every
-        // window).
-        let mut clean = false;
-        for _ in 0..32 {
-            let before = tempora_grid::alloc_count();
-            assert_eq!(w.run(&a, &b, &pool), gold);
-            if tempora_grid::alloc_count() == before {
-                clean = true;
-                break;
-            }
-        }
-        assert!(clean, "reused run allocated in every observed window");
+        // Reuse is identical (tests/alloc_free.rs checks that it
+        // allocates nothing).
+        assert_eq!(w.run(&a, &b, &pool), gold);
     }
 
     #[test]
@@ -379,13 +349,11 @@ mod tests {
     }
 
     #[test]
-    // Justification: pins the deprecated one-shot wrapper's behavior until its removal.
-    #[allow(deprecated)]
-    fn degenerate_shapes_and_deprecated_wrapper() {
+    fn degenerate_shapes() {
         let pool = Pool::new(2);
-        assert_eq!(run_lcs(b"", b"ABC", 8, 8, 1, true, &pool), 0);
-        assert_eq!(run_lcs(b"ABC", b"", 8, 8, 1, true, &pool), 0);
-        assert_eq!(run_lcs(b"A", b"A", 8, 8, 1, true, &pool), 1);
-        assert_eq!(run_lcs(b"GATTACA", b"TACCAGA", 2, 3, 1, false, &pool), 4);
+        assert_eq!(lcs_tiled(b"", b"ABC", 8, 8, 1, true, &pool), 0);
+        assert_eq!(lcs_tiled(b"ABC", b"", 8, 8, 1, true, &pool), 0);
+        assert_eq!(lcs_tiled(b"A", b"A", 8, 8, 1, true, &pool), 1);
+        assert_eq!(lcs_tiled(b"GATTACA", b"TACCAGA", 2, 3, 1, false, &pool), 4);
     }
 }

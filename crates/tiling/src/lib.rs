@@ -20,13 +20,13 @@
 //! [`SkewGs3d`], and [`LcsRect`] — that validates the geometry, resolves
 //! the in-tile engine, and allocates every arena **once**; repeated
 //! `advance` / `run` calls are then allocation-free. These workspaces are
-//! the execution layer behind `tempora_plan::Plan`; the old `run_*` free
-//! functions remain as deprecated one-shot wrappers for one release.
+//! the execution layer behind `tempora_plan::Plan`.
 //!
 //! The temporal in-tile kernels go through the same engine dispatch as
 //! the sequential engines: workspaces take a
-//! `tempora_core::engine::Select`, resolve it once (portable vs
-//! hand-scheduled AVX2, degenerate geometries honestly portable) and
+//! `tempora_core::engine::Select`, resolve it once (the portable or the
+//! AVX2 instantiation of the one steady state, degenerate geometries
+//! honestly portable) and
 //! report the resolved engine for per-series reporting in the bench
 //! harness.
 //!

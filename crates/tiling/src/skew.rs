@@ -24,8 +24,7 @@
 //! engine once, allocates the per-block band scratch once, and is driven
 //! by repeated `advance(&mut grid, &pool)` calls that run
 //! allocation-free. This is the execution layer behind
-//! `tempora_plan::Plan`; the old `run_gs_*` free functions remain as
-//! deprecated one-shot wrappers.
+//! `tempora_plan::Plan`.
 //!
 //! # Engine dispatch
 //!
@@ -33,16 +32,17 @@
 //! sequential engines: every workspace takes a [`Mode`] (scalar bands for
 //! the paper's "scalar" curves, [`Mode::Temporal`] for "our"; spatial
 //! auto-vectorization of Gauss-Seidel is illegal and rejected) plus a
-//! [`Select`], resolves the selection **once** against the kernel's AVX2
-//! band capability ([`Avx2Exec1d::avx2_band`] and friends) and the block
-//! geometry, and reports the resolved [`Engine`]. Geometries where *no*
+//! [`Select`], resolves the selection **once** against the AVX2
+//! capability of the `f64×4` lanes ([`tempora_simd::arch::avx2_lanes`])
+//! and the block geometry, and reports the resolved [`Engine`]. Geometries where *no*
 //! skewed block can host the vector steady state resolve portable, so the
 //! reported engine names the instruction mix that actually ran. Per-block
 //! band scratch lives in a workspace arena (one slot per block index —
 //! tasks with the same block index are ordered by the wave dependences,
 //! so slots are never touched concurrently).
 
-use tempora_core::engine::{Avx2Exec1d, Avx2Exec2d, Avx2Exec3d, Engine, Select};
+use tempora_core::engine::{Engine, Select};
+use tempora_core::kernels::{Kernel1d, Kernel2d, Kernel3d};
 use tempora_core::t1d_band::vector_band_shape;
 use tempora_core::{t1d, t1d_band, t2d, t2d_band, t3d, t3d_band};
 use tempora_grid::{Grid1, Grid2, Grid3};
@@ -132,7 +132,7 @@ fn check_skew_geometry(block: usize, height: usize, s: usize) {
 /// validated and banded engine resolved once in [`SkewGs1d::new`], then
 /// reused by every [`SkewGs1d::advance`] call (allocation-free — the 1-D
 /// band executors need no scratch).
-pub struct SkewGs1d<K: Avx2Exec1d> {
+pub struct SkewGs1d<K: Kernel1d> {
     kern: K,
     steps: usize,
     block: usize,
@@ -144,7 +144,7 @@ pub struct SkewGs1d<K: Avx2Exec1d> {
     bands: usize,
 }
 
-impl<K: Avx2Exec1d> SkewGs1d<K> {
+impl<K: Kernel1d> SkewGs1d<K> {
     /// Build a workspace for interior size `n`. `mode` selects the band
     /// executor — [`Mode::Temporal`] for the paper's "our" curves,
     /// [`Mode::Scalar`] for "scalar" — and `sel` picks the temporal
@@ -169,7 +169,15 @@ impl<K: Avx2Exec1d> SkewGs1d<K> {
         check_skew_geometry(block, height, s);
         let bands = steps / height;
         let nblocks = block_count(n, block, height);
-        let engine = resolve_skew(sel, mode, K::avx2_band(s), n, block, height, bands);
+        let engine = resolve_skew(
+            sel,
+            mode,
+            tempora_simd::arch::avx2_lanes::<f64, VL>(),
+            n,
+            block,
+            height,
+            bands,
+        );
         SkewGs1d {
             kern,
             steps,
@@ -228,9 +236,8 @@ impl<K: Avx2Exec1d> SkewGs1d<K> {
                     let (xlj, xrj) = (xl.saturating_sub(off).max(1), xr - off);
                     match engine {
                         None => t1d_band::band_scalar_gs(a, xlj, xrj, VL, n, kern),
-                        Some(Engine::Avx2) => kern.band_avx2(a, xlj, xrj, n, s),
-                        Some(Engine::Portable) => {
-                            t1d_band::band_temporal_gs::<VL, K>(a, xlj, xrj, n, s, kern)
+                        Some(engine) => {
+                            t1d_band::band_temporal_gs::<VL, K>(engine, a, xlj, xrj, n, s, kern)
                         }
                     }
                 }
@@ -243,37 +250,13 @@ impl<K: Avx2Exec1d> SkewGs1d<K> {
     }
 }
 
-/// Run `steps` Gauss-Seidel time steps over a 1-D grid with pipelined
-/// skewed tiling (one-shot wrapper over [`SkewGs1d`]).
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `tempora_plan::Plan` (or reuse a `skew::SkewGs1d` workspace) instead"
-)]
-// Justification: the parameter list is the skew-tile run contract (grid, kernel, steps, tiling, pool); a params struct would obscure it.
-#[allow(clippy::too_many_arguments)]
-pub fn run_gs_1d<K: Avx2Exec1d + Copy>(
-    grid: &Grid1<f64>,
-    kern: &K,
-    steps: usize,
-    block: usize,
-    height: usize,
-    mode: Mode,
-    sel: Select,
-    pool: &Pool,
-) -> (Grid1<f64>, Option<Engine>) {
-    let mut w = SkewGs1d::new(*kern, grid.n(), steps, block, height, mode, sel);
-    let mut g = grid.clone();
-    w.advance(&mut g, pool);
-    (g, w.engine())
-}
-
 // ---------------------------------------------------------------------
 // 2-D workspace
 // ---------------------------------------------------------------------
 
 /// Reusable skewed-tiling workspace for 2-D Gauss-Seidel along the outer
 /// dimension. See [`SkewGs1d`] for the lifecycle and engine contract.
-pub struct SkewGs2d<K: Avx2Exec2d<f64>> {
+pub struct SkewGs2d<K: Kernel2d<f64>> {
     kern: K,
     steps: usize,
     block: usize,
@@ -288,7 +271,7 @@ pub struct SkewGs2d<K: Avx2Exec2d<f64>> {
     rem_rows: (Vec<f64>, Vec<f64>),
 }
 
-impl<K: Avx2Exec2d<f64>> SkewGs2d<K> {
+impl<K: Kernel2d<f64>> SkewGs2d<K> {
     /// Build a workspace for an `nx × ny` interior. See
     /// [`SkewGs1d::new`] for the panics contract.
     // Justification: constructor takes the full tile geometry; see the run_* wrapper rationale.
@@ -308,7 +291,15 @@ impl<K: Avx2Exec2d<f64>> SkewGs2d<K> {
         check_skew_geometry(block, height, s);
         let bands = steps / height;
         let nblocks = block_count(nx, block, height);
-        let engine = resolve_skew(sel, mode, K::avx2_band(s), nx, block, height, bands);
+        let engine = resolve_skew(
+            sel,
+            mode,
+            tempora_simd::arch::avx2_lanes::<f64, VL>(),
+            nx,
+            block,
+            height,
+            bands,
+        );
         // Per-block band scratch (the wave dependences serialize all
         // tasks of one block index).
         let scratch: Vec<t2d_band::BandScratch2d<VL>> = match engine {
@@ -406,12 +397,7 @@ impl<K: Avx2Exec2d<f64>> SkewGs2d<K> {
                             // alone; one tile of block i is in flight at a
                             // time (wavefront dependences).
                             let sc = unsafe { &mut scratch_shared.slice_mut()[i] };
-                            match eng {
-                                Engine::Avx2 => kern.band_avx2(g, xlj, xrj, s, sc),
-                                Engine::Portable => {
-                                    t2d_band::band_temporal_gs2d::<VL, K>(g, xlj, xrj, s, kern, sc)
-                                }
-                            }
+                            t2d_band::band_temporal_gs2d::<VL, K>(eng, g, xlj, xrj, s, kern, sc)
                         }
                     }
                 }
@@ -427,37 +413,13 @@ impl<K: Avx2Exec2d<f64>> SkewGs2d<K> {
     }
 }
 
-/// Run `steps` Gauss-Seidel time steps over a 2-D grid with pipelined
-/// skewed tiling (one-shot wrapper over [`SkewGs2d`]).
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `tempora_plan::Plan` (or reuse a `skew::SkewGs2d` workspace) instead"
-)]
-// Justification: the parameter list is the skew-tile run contract (grid, kernel, steps, tiling, pool); a params struct would obscure it.
-#[allow(clippy::too_many_arguments)]
-pub fn run_gs_2d<K: Avx2Exec2d<f64> + Copy>(
-    grid: &Grid2<f64>,
-    kern: &K,
-    steps: usize,
-    block: usize,
-    height: usize,
-    mode: Mode,
-    sel: Select,
-    pool: &Pool,
-) -> (Grid2<f64>, Option<Engine>) {
-    let mut w = SkewGs2d::new(*kern, grid.nx(), grid.ny(), steps, block, height, mode, sel);
-    let mut g = grid.clone();
-    w.advance(&mut g, pool);
-    (g, w.engine())
-}
-
 // ---------------------------------------------------------------------
 // 3-D workspace
 // ---------------------------------------------------------------------
 
 /// Reusable skewed-tiling workspace for 3-D Gauss-Seidel along the outer
 /// dimension. See [`SkewGs1d`] for the lifecycle and engine contract.
-pub struct SkewGs3d<K: Avx2Exec3d> {
+pub struct SkewGs3d<K: Kernel3d<f64>> {
     kern: K,
     steps: usize,
     block: usize,
@@ -473,7 +435,7 @@ pub struct SkewGs3d<K: Avx2Exec3d> {
     rem_planes: (Vec<f64>, Vec<f64>),
 }
 
-impl<K: Avx2Exec3d> SkewGs3d<K> {
+impl<K: Kernel3d<f64>> SkewGs3d<K> {
     /// Build a workspace for an `nx × ny × nz` interior. See
     /// [`SkewGs1d::new`] for the panics contract.
     // Justification: constructor takes the full tile geometry; see the run_* wrapper rationale.
@@ -494,7 +456,15 @@ impl<K: Avx2Exec3d> SkewGs3d<K> {
         check_skew_geometry(block, height, s);
         let bands = steps / height;
         let nblocks = block_count(nx, block, height);
-        let engine = resolve_skew(sel, mode, K::avx2_band(s), nx, block, height, bands);
+        let engine = resolve_skew(
+            sel,
+            mode,
+            tempora_simd::arch::avx2_lanes::<f64, VL>(),
+            nx,
+            block,
+            height,
+            bands,
+        );
         let scratch: Vec<t3d_band::BandScratch3d<VL>> = match engine {
             Some(_) => (0..nblocks)
                 .map(|_| t3d_band::BandScratch3d::new(s, ny, nz))
@@ -589,12 +559,7 @@ impl<K: Avx2Exec3d> SkewGs3d<K> {
                             // alone; one tile of block i is in flight at a
                             // time (wavefront dependences).
                             let sc = unsafe { &mut scratch_shared.slice_mut()[i] };
-                            match eng {
-                                Engine::Avx2 => kern.band_avx2(g, xlj, xrj, s, sc),
-                                Engine::Portable => {
-                                    t3d_band::band_temporal_gs3d::<VL, K>(g, xlj, xrj, s, kern, sc)
-                                }
-                            }
+                            t3d_band::band_temporal_gs3d::<VL, K>(eng, g, xlj, xrj, s, kern, sc)
                         }
                     }
                 }
@@ -610,40 +575,6 @@ impl<K: Avx2Exec3d> SkewGs3d<K> {
     }
 }
 
-/// Run `steps` Gauss-Seidel time steps over a 3-D grid with pipelined
-/// skewed tiling (one-shot wrapper over [`SkewGs3d`]).
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `tempora_plan::Plan` (or reuse a `skew::SkewGs3d` workspace) instead"
-)]
-// Justification: the parameter list is the skew-tile run contract (grid, kernel, steps, tiling, pool); a params struct would obscure it.
-#[allow(clippy::too_many_arguments)]
-pub fn run_gs_3d<K: Avx2Exec3d + Copy>(
-    grid: &Grid3<f64>,
-    kern: &K,
-    steps: usize,
-    block: usize,
-    height: usize,
-    mode: Mode,
-    sel: Select,
-    pool: &Pool,
-) -> (Grid3<f64>, Option<Engine>) {
-    let mut w = SkewGs3d::new(
-        *kern,
-        grid.nx(),
-        grid.ny(),
-        grid.nz(),
-        steps,
-        block,
-        height,
-        mode,
-        sel,
-    );
-    let mut g = grid.clone();
-    w.advance(&mut g, pool);
-    (g, w.engine())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -654,7 +585,7 @@ mod tests {
 
     // Justification: test helper mirrors the run contract signature.
     #[allow(clippy::too_many_arguments)]
-    fn skew_1d<K: Avx2Exec1d + Copy>(
+    fn skew_1d<K: Kernel1d + Copy>(
         grid: &Grid1<f64>,
         kern: &K,
         steps: usize,
@@ -741,21 +672,7 @@ mod tests {
     }
 
     #[test]
-    // Justification: pins the deprecated one-shot wrappers' behavior until their removal.
-    #[allow(deprecated)]
-    fn deprecated_wrappers_still_work() {
-        let c = Gs1dCoeffs::classic(0.27);
-        let kern = GsKern1d(c);
-        let pool = Pool::new(2);
-        let mut g = Grid1::new(400, 1, Boundary::Dirichlet(0.1));
-        fill_random_1d(&mut g, 5, -1.0, 1.0);
-        let gold = reference::gs1d(&g, c, 8);
-        let (ours, _) = run_gs_1d(&g, &kern, 8, 64, 4, Mode::Temporal(2), Select::Auto, &pool);
-        assert!(ours.interior_eq(&gold));
-    }
-
-    #[test]
-    fn gs2d_parallel_matches_reference_and_workspace_reuse_is_allocation_free() {
+    fn gs2d_parallel_matches_reference_and_workspace_reuse_is_identical() {
         let c = Gs2dCoeffs::classic(0.19);
         let kern = GsKern2d(c);
         for threads in [1usize, 2] {
@@ -772,23 +689,11 @@ mod tests {
                     "threads={threads} mode={mode:?} {:?}",
                     ours.first_diff(&gold)
                 );
-                // Reuse on a fresh state: identical and allocation-free.
-                // Process-global counter + concurrent sibling tests:
-                // retry until a clean window (a real allocation in
-                // `advance` would taint every window).
-                let mut clean = false;
-                for _ in 0..32 {
-                    let mut again = g.clone();
-                    let before = tempora_grid::alloc_count();
-                    w.advance(&mut again, &pool);
-                    let delta = tempora_grid::alloc_count() - before;
-                    assert!(again.interior_eq(&gold));
-                    if delta == 0 {
-                        clean = true;
-                        break;
-                    }
-                }
-                assert!(clean, "advance allocated in every observed window");
+                // Reuse on a fresh state is identical (tests/alloc_free.rs
+                // checks that it allocates nothing).
+                let mut again = g.clone();
+                w.advance(&mut again, &pool);
+                assert!(again.interior_eq(&gold));
             }
         }
     }

@@ -438,38 +438,46 @@ fn parallel_results_are_deterministic_across_thread_counts() {
     assert!(s1.interior_eq(&s4));
 }
 
-#[cfg(target_arch = "x86_64")]
-fn has_avx2() -> bool {
-    tempora::simd::arch::avx2_available()
-}
-
-/// The hand-scheduled AVX2 steady states must reproduce the scalar
-/// oracles bit-for-bit over a grid of (n, s, steps) configurations,
-/// including degenerate `n < VL·s` shapes that fall back to the portable
-/// (scalar-schedule) tile.
+/// The AVX2 instantiations of the steady states, forced through plans,
+/// must reproduce the scalar oracles bit-for-bit over a grid of
+/// (n, s, steps) configurations — the widest ring stride included —
+/// including degenerate `n < VL·s` shapes whose tiles run the scalar
+/// schedule.
 #[test]
-#[cfg(target_arch = "x86_64")]
 fn avx2_engines_match_scalar_oracles_bitwise() {
-    use tempora::core::{t1d_avx2, t2d_avx2, t3d_avx2};
-    if !has_avx2() {
+    if !tempora::simd::arch::avx2_available() {
         return;
     }
+    let avx2 = |s: usize| PlanBuilder::new().stride(s).select(Select::Avx2);
 
-    // 1-D: Jacobi and Gauss-Seidel over strides up to the paper's s = 7.
+    // 1-D: Jacobi and Gauss-Seidel over strides up to the ring capacity.
     let c1 = Heat1dCoeffs::classic(0.24);
     let cg1 = Gs1dCoeffs::classic(0.23);
-    for &n in &[5usize, 16, 63, 200, 1000] {
-        for s in [2usize, 4, 7] {
+    for &n in &[1usize, 5, 15, 16, 63, 200, 1000] {
+        for s in [2usize, 4, 7, 16] {
             for steps in [4usize, 8, 13] {
                 let g = g1(n, (n + s + steps) as u64, 0.5);
-                let ours = t1d_avx2::run_heat1d_avx2(&g, &JacobiKern1d(c1), steps, s);
+                let b = g.boundary();
+                let heat = Problem::Heat1d {
+                    n,
+                    steps,
+                    coeffs: c1,
+                    boundary: b,
+                };
+                let (ours, _) = run1(&heat, avx2(s), &g);
                 let gold = reference::heat1d(&g, c1, steps);
                 assert!(
                     ours.interior_eq(&gold),
                     "heat1d n={n} s={s} steps={steps} {:?}",
                     ours.first_diff(&gold)
                 );
-                let ours = t1d_avx2::run_gs1d_avx2(&g, &GsKern1d(cg1), steps, s);
+                let gs = Problem::Gs1d {
+                    n,
+                    steps,
+                    coeffs: cg1,
+                    boundary: b,
+                };
+                let (ours, _) = run1(&gs, avx2(s), &g);
                 let gold = reference::gs1d(&g, cg1, steps);
                 assert!(
                     ours.interior_eq(&gold),
@@ -480,16 +488,32 @@ fn avx2_engines_match_scalar_oracles_bitwise() {
         }
     }
 
-    // 2-D: star Jacobi, box Jacobi and Gauss-Seidel. nx = 5 with s >= 2
-    // exercises the degenerate fallback.
+    // 2-D: star Jacobi, box Jacobi and Gauss-Seidel. nx ∈ {1, 5, 7} with
+    // s >= 2 exercises the degenerate fallback.
     let c2 = Heat2dCoeffs::classic(0.11);
     let cb = Box2dCoeffs::smooth(0.07);
     let cg2 = Gs2dCoeffs::classic(0.17);
-    for &(nx, ny) in &[(5usize, 9usize), (8, 5), (17, 12), (40, 23), (96, 33)] {
+    for &(nx, ny) in &[
+        (1usize, 6usize),
+        (5, 9),
+        (7, 6),
+        (8, 5),
+        (17, 12),
+        (40, 23),
+        (96, 33),
+    ] {
         for s in [2usize, 3] {
-            for steps in [4usize, 7, 12] {
+            for steps in [4usize, 5, 7, 12] {
                 let g = g2(nx, ny, (nx * ny + s + steps) as u64, -0.25);
-                let ours = t2d_avx2::run_heat2d_avx2(&g, &JacobiKern2d(c2), steps, s);
+                let b = g.boundary();
+                let heat = Problem::Heat2d {
+                    nx,
+                    ny,
+                    steps,
+                    coeffs: c2,
+                    boundary: b,
+                };
+                let (ours, _) = run2(&heat, avx2(s), &g);
                 let gold = reference::heat2d(&g, c2, steps);
                 assert!(
                     ours.interior_eq(&gold),
@@ -497,14 +521,28 @@ fn avx2_engines_match_scalar_oracles_bitwise() {
                     ours.first_diff(&gold)
                 );
                 ours.check_canaries().unwrap();
-                let ours = t2d_avx2::run_box2d_avx2(&g, &BoxKern2d(cb), steps, s);
+                let boxp = Problem::Box2d {
+                    nx,
+                    ny,
+                    steps,
+                    coeffs: cb,
+                    boundary: b,
+                };
+                let (ours, _) = run2(&boxp, avx2(s), &g);
                 let gold = reference::box2d(&g, cb, steps);
                 assert!(
                     ours.interior_eq(&gold),
                     "box2d nx={nx} ny={ny} s={s} steps={steps} {:?}",
                     ours.first_diff(&gold)
                 );
-                let ours = t2d_avx2::run_gs2d_avx2(&g, &GsKern2d(cg2), steps, s);
+                let gs = Problem::Gs2d {
+                    nx,
+                    ny,
+                    steps,
+                    coeffs: cg2,
+                    boundary: b,
+                };
+                let (ours, _) = run2(&gs, avx2(s), &g);
                 let gold = reference::gs2d(&g, cg2, steps);
                 assert!(
                     ours.interior_eq(&gold),
@@ -523,14 +561,31 @@ fn avx2_engines_match_scalar_oracles_bitwise() {
             for steps in [4usize, 8, 9] {
                 let mut g = Grid3::new(nx, ny, nz, 1, Boundary::Dirichlet(0.1));
                 fill_random_3d(&mut g, (nx + ny + nz + s + steps) as u64, -1.0, 1.0);
-                let ours = t3d_avx2::run_heat3d_avx2(&g, &JacobiKern3d(c3), steps, s);
+                let b = g.boundary();
+                let heat = Problem::Heat3d {
+                    nx,
+                    ny,
+                    nz,
+                    steps,
+                    coeffs: c3,
+                    boundary: b,
+                };
+                let (ours, _) = run3(&heat, avx2(s), &g);
                 let gold = reference::heat3d(&g, c3, steps);
                 assert!(
                     ours.interior_eq(&gold),
                     "heat3d nx={nx} ny={ny} nz={nz} s={s} steps={steps} {:?}",
                     ours.first_diff(&gold)
                 );
-                let ours = t3d_avx2::run_gs3d_avx2(&g, &GsKern3d(cg3), steps, s);
+                let gs = Problem::Gs3d {
+                    nx,
+                    ny,
+                    nz,
+                    steps,
+                    coeffs: cg3,
+                    boundary: b,
+                };
+                let (ours, _) = run3(&gs, avx2(s), &g);
                 let gold = reference::gs3d(&g, cg3, steps);
                 assert!(
                     ours.interior_eq(&gold),
@@ -559,7 +614,13 @@ fn forced_portable_and_avx2_selections_agree_bitwise() {
         _ => Engine::Portable,
     };
 
-    for &(n, s, steps) in &[(200usize, 2usize, 8usize), (1000, 7, 12), (4096, 3, 5)] {
+    // s = 16 is the widest stride the ring holds.
+    for &(n, s, steps) in &[
+        (200usize, 2usize, 8usize),
+        (1000, 7, 12),
+        (4096, 3, 5),
+        (4096, 16, 8),
+    ] {
         let g = g1(n, (n + s) as u64, 0.4);
         let c = Heat1dCoeffs::classic(0.24);
         let cg = Gs1dCoeffs::classic(0.21);
@@ -946,9 +1007,16 @@ fn life_forced_engines_agree_bitwise() {
         },
     ];
     for (ri, &rule) in rules.iter().enumerate() {
-        // Sequential: healthy (48×26) and degenerate (nx = 10 < 8·2)
-        // shapes, with a steps % 8 remainder.
-        for &(nx, ny, steps, healthy) in &[(48usize, 26usize, 19usize, true), (10, 26, 16, false)] {
+        // Sequential: healthy and degenerate (nx < 8·2) shapes, with
+        // steps % 8 remainders.
+        for &(nx, ny, steps, healthy) in &[
+            (48usize, 26usize, 19usize, true),
+            (20, 16, 8, true),
+            (33, 9, 11, true),
+            (10, 26, 16, false),
+            (15, 10, 9, false),
+            (1, 10, 9, false),
+        ] {
             let mut g = Grid2::<i32>::new(nx, ny, 1, Boundary::Dirichlet(0));
             fill_random_life(&mut g, (ri * 100 + nx) as u64, 0.4);
             let gold = reference::life(&g, rule, steps);
@@ -1032,14 +1100,21 @@ fn lcs_forced_engines_agree() {
         &[Select::Portable, Select::Auto]
     };
     // (la, lb, alphabet, s, healthy-sequential?): the 300×12 shape at
-    // s = 2 has lb < 8·2 + 1 and must honestly resolve portable; the
-    // 5×200 shape has no full 8-level A tile.
+    // s = 2 and the 16×5 shape have lb < 8·s + 1 and must honestly
+    // resolve portable; the 5×200 shape has no full 8-level A tile, and
+    // empty sequences have no table at all.
     for &(la, lb, alpha, s, healthy) in &[
         (120usize, 250usize, 4u8, 1usize, true),
         (77, 133, 2, 2, true),
         (64, 97, 26, 3, true),
+        (64, 257, 4, 3, true),
+        (40, 17, 4, 1, true),
+        (48, 96, 2, 1, true),
         (300, 12, 4, 2, false),
         (5, 200, 4, 1, false),
+        (16, 5, 4, 1, false),
+        (0, 3, 4, 1, false),
+        (3, 0, 4, 1, false),
     ] {
         let a = random_sequence(la, alpha, (la + lb) as u64);
         let b = random_sequence(lb, alpha, (la * 31 + lb) as u64);
@@ -1065,6 +1140,8 @@ fn lcs_forced_engines_agree() {
     for &(xb, yb, healthy) in &[
         (32usize, 65usize, true),
         (24, 70, true),
+        (8, 24, true),
+        (32, 96, true),
         (32, 64, false),
         (32, 6, false),
     ] {
