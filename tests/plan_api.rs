@@ -3,18 +3,182 @@
 //! * **Reuse**: running one compiled plan N times on fresh states is
 //!   bitwise-identical to N one-shot runs with freshly compiled plans,
 //!   across every method/tiling family.
-//! * **Allocation-freedom** is checked in `tests/alloc_free.rs`, alone in
-//!   its process so no sibling test moves the global counter.
+//! * **Allocation-freedom**: after the first `run`, repeated `plan.run`
+//!   calls perform zero aligned-buffer allocations (verified through the
+//!   `tempora::grid::alloc_count` counter; the one-shot reorg/DLT
+//!   baselines are the documented exceptions). The counter is
+//!   process-global, so every test here holds [`GATE`]: the allocation
+//!   tests hold it exclusively and measure one exact window, with no
+//!   sibling test allocating underneath them.
 //! * **Validation**: every invalid configuration returns a descriptive
 //!   [`PlanError`] — no panics — and the documented honest fallbacks
 //!   (degenerate geometries, workloads without an AVX2 steady state)
 //!   build fine and report the portable engine.
 
-mod common;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use common::{catalogue, fresh_state};
 use proptest::prelude::*;
+use tempora::grid::{
+    alloc_count, fill_random_1d, fill_random_2d, fill_random_3d, fill_random_life, random_sequence,
+};
 use tempora::prelude::*;
+
+/// Serializes the allocation tests against the rest of this file. Every
+/// test that builds or runs a plan holds it — shared by default,
+/// exclusive while `alloc_count` is measured. A panicking holder only
+/// poisons the lock; the guard is still taken.
+static GATE: RwLock<()> = RwLock::new(());
+
+fn shared() -> RwLockReadGuard<'static, ()> {
+    GATE.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn exclusive() -> RwLockWriteGuard<'static, ()> {
+    GATE.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A catalogue of representative (problem, builder) configurations — one
+/// per method/tiling family the plan API supports.
+fn catalogue(seed: u64) -> Vec<(&'static str, Problem, PlanBuilder)> {
+    let h1 = Problem::heat1d(300 + (seed % 64) as usize, 13, Heat1dCoeffs::classic(0.24));
+    let g1 = Problem::gs1d(400, 11, Gs1dCoeffs::classic(0.22));
+    let h2 = Problem::heat2d(48, 17, 9, Heat2dCoeffs::classic(0.11));
+    let b2 = Problem::box2d(40, 15, 8, Box2dCoeffs::smooth(0.07));
+    let g2 = Problem::gs2d(64, 13, 10, Gs2dCoeffs::classic(0.17));
+    let life = Problem::life(40, 22, 17, LifeRule::b2s23());
+    let h3 = Problem::heat3d(20, 7, 6, 9, Heat3dCoeffs::classic(0.09));
+    let g3 = Problem::gs3d(24, 6, 5, 10, Gs3dCoeffs::classic(0.12));
+    let lcs = Problem::lcs(90, 140);
+    vec![
+        ("heat1d/temporal", h1, PlanBuilder::new().stride(7)),
+        (
+            "heat1d/temporal/portable",
+            h1,
+            PlanBuilder::new().stride(7).select(Select::Portable),
+        ),
+        (
+            "heat1d/multiload",
+            h1,
+            PlanBuilder::new().method(Method::Multiload),
+        ),
+        (
+            "heat1d/scalar",
+            h1,
+            PlanBuilder::new().method(Method::Scalar),
+        ),
+        (
+            "heat1d/ghost",
+            h1,
+            PlanBuilder::new()
+                .stride(3)
+                .tiling(Tiling::Ghost {
+                    block: 48,
+                    height: 4,
+                })
+                .threads(2),
+        ),
+        (
+            "gs1d/skew",
+            g1,
+            PlanBuilder::new()
+                .stride(2)
+                .tiling(Tiling::Skew {
+                    block: 64,
+                    height: 4,
+                })
+                .threads(2),
+        ),
+        ("heat2d/temporal", h2, PlanBuilder::new().stride(2)),
+        (
+            "heat2d/ghost",
+            h2,
+            PlanBuilder::new()
+                .stride(2)
+                .tiling(Tiling::Ghost {
+                    block: 12,
+                    height: 4,
+                })
+                .threads(2),
+        ),
+        ("box2d/temporal", b2, PlanBuilder::new().stride(2)),
+        ("gs2d/temporal", g2, PlanBuilder::new().stride(2)),
+        (
+            "gs2d/skew",
+            g2,
+            PlanBuilder::new()
+                .stride(2)
+                .tiling(Tiling::Skew {
+                    block: 20,
+                    height: 4,
+                })
+                .threads(2),
+        ),
+        ("life/temporal", life, PlanBuilder::new().stride(2)),
+        (
+            "life/ghost",
+            life,
+            PlanBuilder::new()
+                .stride(2)
+                .tiling(Tiling::Ghost {
+                    block: 16,
+                    height: 8,
+                })
+                .threads(2),
+        ),
+        ("heat3d/temporal", h3, PlanBuilder::new().stride(2)),
+        (
+            "heat3d/ghost",
+            h3,
+            PlanBuilder::new()
+                .stride(2)
+                .tiling(Tiling::Ghost {
+                    block: 8,
+                    height: 4,
+                })
+                .threads(2),
+        ),
+        ("gs3d/temporal", g3, PlanBuilder::new().stride(2)),
+        (
+            "gs3d/skew",
+            g3,
+            PlanBuilder::new()
+                .stride(2)
+                .tiling(Tiling::Skew {
+                    block: 22,
+                    height: 4,
+                })
+                .threads(2),
+        ),
+        ("lcs/temporal", lcs, PlanBuilder::new().stride(1)),
+        (
+            "lcs/rect",
+            lcs,
+            PlanBuilder::new()
+                .stride(1)
+                .tiling(Tiling::LcsRect {
+                    xblock: 24,
+                    yblock: 40,
+                })
+                .threads(2),
+        ),
+    ]
+}
+
+fn fresh_state(problem: &Problem, seed: u64) -> State {
+    let mut state = problem.state();
+    match &mut state {
+        State::Grid1(g) => fill_random_1d(g, seed, -1.0, 1.0),
+        State::Grid2(g) => fill_random_2d(g, seed, -1.0, 1.0),
+        State::Grid2i(g) => fill_random_life(g, seed, 0.4),
+        State::Grid3(g) => fill_random_3d(g, seed, -1.0, 1.0),
+        State::Lcs(l) => {
+            let (la, lb) = (l.a.len(), l.b.len());
+            l.a = random_sequence(la, 4, seed);
+            l.b = random_sequence(lb, 4, seed.wrapping_add(1));
+        }
+    }
+    state
+}
 
 fn states_equal(a: &State, b: &State) -> bool {
     match (a, b) {
@@ -37,6 +201,7 @@ proptest! {
         seed in any::<u64>(),
         reps in 2usize..4,
     ) {
+        let _gate = shared();
         for (name, problem, builder) in catalogue(seed) {
             let mut reused = builder.build(&problem).unwrap();
             for r in 0..reps {
@@ -52,11 +217,87 @@ proptest! {
     }
 }
 
+/// Allocation regression: after the warm-up run, `plan.run` performs
+/// **zero** aligned-buffer (grid/scratch) allocations — every arena was
+/// allocated at build time or during the first run.
+#[test]
+fn second_run_is_allocation_free() {
+    let _gate = exclusive();
+    for (name, problem, builder) in catalogue(7) {
+        let mut plan = builder.build(&problem).unwrap();
+        let mut state = fresh_state(&problem, 42);
+        plan.run(&mut state).unwrap(); // warm-up (first run)
+        let mut state2 = fresh_state(&problem, 43);
+        let before = alloc_count();
+        plan.run(&mut state2).unwrap();
+        let delta = alloc_count() - before;
+        assert_eq!(
+            delta, 0,
+            "{name}: repeated plan.run allocated aligned buffers"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Integer-kernel plans (Life and LCS — the workloads whose AVX2
+    /// steady states dispatch at `vl = 8`) stay allocation-free across
+    /// reuse, whatever engine the geometry resolves: after the warm-up
+    /// run, repeated `plan.run` calls perform zero aligned-buffer
+    /// allocations under both forced-portable and Auto selection.
+    #[test]
+    fn integer_plan_reuse_is_allocation_free(
+        seed in any::<u64>(),
+        nx in 20usize..80,
+        la in 30usize..120,
+    ) {
+        let _gate = exclusive();
+        let life = Problem::life(nx, 24, 16, LifeRule::b2s23());
+        let lcs = Problem::lcs(la, 2 * la);
+        let configs: Vec<(Problem, PlanBuilder)> = vec![
+            (life, PlanBuilder::new().stride(2)),
+            (life, PlanBuilder::new().stride(2).select(Select::Portable)),
+            (
+                life,
+                PlanBuilder::new()
+                    .stride(2)
+                    .tiling(Tiling::Ghost { block: 24, height: 8 })
+                    .threads(2),
+            ),
+            (lcs, PlanBuilder::new().stride(1)),
+            (lcs, PlanBuilder::new().stride(1).select(Select::Portable)),
+            (
+                lcs,
+                PlanBuilder::new()
+                    .stride(1)
+                    .tiling(Tiling::LcsRect { xblock: 16, yblock: 32 })
+                    .threads(2),
+            ),
+        ];
+        for (i, (problem, builder)) in configs.into_iter().enumerate() {
+            let mut plan = builder.build(&problem).unwrap();
+            let mut state = fresh_state(&problem, seed);
+            plan.run(&mut state).unwrap(); // warm-up (first run)
+            let mut state2 = fresh_state(&problem, seed ^ 0x5bd1e995);
+            let before = alloc_count();
+            plan.run(&mut state2).unwrap();
+            let delta = alloc_count() - before;
+            prop_assert_eq!(
+                delta, 0,
+                "config #{} ({:?}): reused integer plan allocated aligned buffers",
+                i, plan.engine()
+            );
+        }
+    }
+}
+
 /// The documented one-shot exceptions: reorg/DLT rebuild their transposed
 /// layouts per run (and say so in their docs) — but they still run
 /// correctly and repeatedly through the same plan.
 #[test]
 fn reorg_and_dlt_baselines_run_repeatedly() {
+    let _gate = shared();
     let c = Heat1dCoeffs::classic(0.25);
     let problem = Problem::heat1d(256, 12, c);
     for method in [Method::Reorg, Method::Dlt] {
@@ -75,6 +316,7 @@ fn reorg_and_dlt_baselines_run_repeatedly() {
 /// panic; the documented honest fallbacks build and report portable.
 #[test]
 fn invalid_configurations_error_and_fallbacks_are_honest() {
+    let _gate = shared();
     let heat1 = Problem::heat1d(200, 8, Heat1dCoeffs::classic(0.25));
     let gs1 = Problem::gs1d(200, 8, Gs1dCoeffs::classic(0.25));
     let gs2 = Problem::gs2d(64, 64, 8, Gs2dCoeffs::classic(0.2));
@@ -301,6 +543,7 @@ fn invalid_configurations_error_and_fallbacks_are_honest() {
 /// pattern (cache plans, dispatch per request) depends on `Plan: Send`.
 #[test]
 fn plan_is_send_and_runs_on_another_thread() {
+    let _gate = shared();
     let problem = Problem::heat1d(300, 8, Heat1dCoeffs::classic(0.25));
     let mut plan = PlanBuilder::new().stride(7).build(&problem).unwrap();
     let mut state = fresh_state(&problem, 3);
@@ -319,6 +562,7 @@ fn plan_is_send_and_runs_on_another_thread() {
 /// geometry, reorg-op counts, LCS length.
 #[test]
 fn report_carries_geometry_and_counts() {
+    let _gate = shared();
     let problem = Problem::heat1d(4096, 16, Heat1dCoeffs::classic(0.25));
     let mut plan = PlanBuilder::new()
         .stride(7)
